@@ -5,7 +5,7 @@
 // tier, specialized and dynamic plans) and the closed-loop batching speedup
 // — the same PolicyServer at max_batch_size=1 (every request pays its own
 // dispatch round-trip) vs 64 (dispatch and forward-pass overhead amortize
-// across the batch), plus the int8 quantized serving path.
+// across the batch).
 //
 // Part 2 (the saturation sweep): closed-loop clients self-throttle, so
 // they can never show what overload looks like. The open-loop harness
@@ -96,7 +96,7 @@ double single_request_qps(double seconds, bool specialize,
   return static_cast<double>(requests) / watch.elapsed_seconds();
 }
 
-serve::PolicyServerConfig server_config(int64_t max_batch, bool int8) {
+serve::PolicyServerConfig server_config(int64_t max_batch) {
   serve::PolicyServerConfig cfg;
   cfg.num_shards = 1;
   cfg.batcher.max_batch_size = max_batch;
@@ -105,7 +105,6 @@ serve::PolicyServerConfig server_config(int64_t max_batch, bool int8) {
   cfg.batcher.max_queue_delay = 100us;
   cfg.batcher.queue_capacity = 4096;
   cfg.pad_batches = true;
-  if (int8) cfg.default_precision = serve::Precision::kInt8;
   return cfg;
 }
 
@@ -124,29 +123,12 @@ struct ServedResult {
 // Closed-loop reference: `clients` pipeline-window threads keep 8 requests
 // outstanding each; measures the server's sustainable capacity (and the
 // batching speedup at max_batch 1 vs 64).
-ServedResult served_qps(int clients, int64_t max_batch, double seconds,
-                        bool int8 = false) {
+ServedResult served_qps(int clients, int64_t max_batch, double seconds) {
   SpacePtr obs_space = FloatBox(Shape{kObsDim});
-  serve::PolicyServerConfig cfg = server_config(max_batch, int8);
+  serve::PolicyServerConfig cfg = server_config(max_batch);
   serve::PolicyServer server(agent_config_specialized(), obs_space,
                              IntBox(kNumActions), cfg);
   server.start();
-
-  if (int8) {
-    // A trainer-side agent calibrates on a small observation sample and
-    // publishes its fp32 weights together with the RLGQ int8 variant; the
-    // serving replica installs both on its next snapshot check.
-    DQNAgent trainer(agent_config_specialized(), obs_space,
-                     IntBox(kNumActions));
-    trainer.build();
-    Rng rng(11);
-    std::vector<float> cal(8 * kObsDim);
-    for (float& x : cal) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-    trainer.enable_quantized_actions(
-        {Tensor::from_floats(Shape{8, kObsDim}, cal)});
-    server.store().publish_quantized(trainer.get_weights(),
-                                     trainer.export_weights_quantized());
-  }
 
   std::vector<Tensor> obs = make_observations(64);
   for (int i = 0; i < 8; ++i) (void)server.act(obs[0]);  // warmup
@@ -235,20 +217,17 @@ int main(int argc, char** argv) {
   const int clients = 16;
   ServedResult base = served_qps(clients, /*max_batch=*/1, seconds);
   ServedResult batched = served_qps(clients, /*max_batch=*/64, seconds);
-  ServedResult int8 = served_qps(clients, /*max_batch=*/64, seconds,
-                                 /*int8=*/true);
   const double speedup = batched.qps / base.qps;
   std::printf(
       "clients %4d  one-at-a-time %8.0f req/s | batched %8.0f req/s  "
-      "%5.2fx  batch %5.1f  p99 %5.2fms | int8 %8.0f req/s\n",
+      "%5.2fx  batch %5.1f  p99 %5.2fms\n",
       clients, base.qps, batched.qps, speedup, batched.mean_batch,
-      batched.p99 * 1e3, int8.qps);
+      batched.p99 * 1e3);
   reporter.record("one_at_a_time_qps", base.qps, "req/s");
   reporter.record("served_qps", batched.qps, "req/s");
   reporter.record("served_speedup", speedup, "x");
   reporter.record("served_mean_batch", batched.mean_batch, "req");
   reporter.record("served_p99_latency", batched.p99, "s");
-  reporter.record("served_qps_int8", int8.qps, "req/s");
 
   // --- open-loop saturation sweep -------------------------------------------
   // Offered rates are anchored to the measured closed-loop capacity so the
@@ -271,7 +250,7 @@ int main(int argc, char** argv) {
   std::mutex engines_mu;
   Json agent_cfg = agent_config_specialized();
   serve::PolicyServerConfig sweep_cfg =
-      server_config(/*max_batch=*/64, /*int8=*/false);
+      server_config(/*max_batch=*/64);
   // Bound queue wait so past-saturation requests time out instead of
   // queueing into the next sweep point (exercises both shed and timeout).
   sweep_cfg.default_deadline = std::chrono::microseconds(50000);

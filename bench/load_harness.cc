@@ -208,7 +208,6 @@ LoadReport run_open_loop(serve::PolicyServer& server,
     serve::ActOptions options;
     options.tenant = spec.tenant;
     options.request_class = spec.request_class;
-    options.precision = spec.precision;
     options.deadline = spec.deadline;
     options.request_id = request_id++;
     const Tensor& obs =

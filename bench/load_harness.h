@@ -11,9 +11,9 @@
 // operating regime admission quotas and fair queueing exist for, and the
 // regime a closed loop can never reach.
 //
-// Traffic is a weighted mix of streams (tenant + request class + precision
-// + deadline). Everything stochastic — arrival gaps, stream picks — comes
-// from one seeded Rng, and request ids are assigned sequentially from
+// Traffic is a weighted mix of streams (tenant + request class + deadline).
+// Everything stochastic — arrival gaps, stream picks — comes from one
+// seeded Rng, and request ids are assigned sequentially from
 // LoadConfig::first_request_id, so a run is fully deterministic in its
 // submission schedule: replaying a seed replays the exact request-id
 // sequence the canary router hashed.
@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,8 +44,6 @@ struct LoadStreamSpec {
   std::string request_class;
   // Relative share of offered arrivals (normalized across streams).
   double share = 1.0;
-  // Explicit precision override (unset inherits class/server default).
-  std::optional<serve::Precision> precision;
   // Per-request deadline (0 inherits class/server default).
   std::chrono::microseconds deadline{0};
 };

@@ -1,8 +1,5 @@
 #include "agents/agent.h"
 
-#include <cmath>
-
-#include "tensor/kernels.h"
 #include "tensor/tensor_io.h"
 #include "util/errors.h"
 #include "util/serialization.h"
@@ -80,141 +77,6 @@ void Agent::import_weights(const std::vector<uint8_t>& bytes) {
     }
   }
   set_weights(weights);
-}
-
-// --- int8 quantized inference ------------------------------------------------
-
-namespace {
-constexpr char kGreedyApi[] = "act_greedy";
-constexpr uint32_t kQuantizedMagic = 0x524C4751;  // "RLGQ"
-constexpr uint32_t kQuantizedVersion = 1;
-
-void require_valid_scale(const std::string& what, float scale) {
-  if (!std::isfinite(scale) || scale <= 0.0f) {
-    throw SerializationError("quantized snapshot has corrupt scale for " +
-                             what + " (" + std::to_string(scale) + ")");
-  }
-}
-}  // namespace
-
-int Agent::enable_quantized_actions(const std::vector<Tensor>& sample_states) {
-  std::vector<std::vector<Tensor>> samples;
-  samples.reserve(sample_states.size());
-  for (const Tensor& s : sample_states) samples.push_back({s});
-  return executor().enable_quantized(kGreedyApi, samples);
-}
-
-bool Agent::quantized_actions_enabled() {
-  return executor().quantized_enabled(kGreedyApi);
-}
-
-Tensor Agent::get_actions_quantized(const Tensor& states) {
-  std::vector<Tensor> out = executor().execute_quantized(kGreedyApi, {states});
-  RLG_REQUIRE(!out.empty(), "act_greedy returned no outputs");
-  return out.back();  // actions are the API's last output
-}
-
-std::vector<uint8_t> Agent::export_weights_quantized() {
-  if (!quantized_actions_enabled()) {
-    throw NotFoundError(
-        "no quantized act_greedy plan; call enable_quantized_actions first");
-  }
-  GraphExecutor& exec = executor();
-  const std::map<std::string, float>& wscales =
-      exec.quantized_weight_scales(kGreedyApi);
-  const std::map<std::string, float>& ascales =
-      exec.quantized_act_scales(kGreedyApi);
-  ByteWriter w;
-  w.write_u32(kQuantizedMagic);
-  w.write_u32(kQuantizedVersion);
-  w.write_u32(static_cast<uint32_t>(wscales.size()));
-  for (const auto& [name, scale] : wscales) {
-    w.write_string(name);
-    w.write_f32(scale);
-    write_tensor(&w, exec.variables().get(name + "/int8"));
-  }
-  w.write_u32(static_cast<uint32_t>(ascales.size()));
-  for (const auto& [name, scale] : ascales) {
-    w.write_string(name);
-    w.write_f32(scale);
-  }
-  return w.take();
-}
-
-void Agent::import_weights_quantized(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  if (r.read_u32() != kQuantizedMagic) {
-    throw SerializationError(
-        "bad quantized-weight magic; not an RLgraph quantized snapshot "
-        "(RLGQ)");
-  }
-  if (r.read_u32() != kQuantizedVersion) {
-    throw SerializationError("unsupported quantized snapshot version");
-  }
-  uint32_t wcount = r.read_u32();
-  std::map<std::string, float> weight_scales;
-  std::map<std::string, Tensor> int8_weights;
-  for (uint32_t i = 0; i < wcount; ++i) {
-    std::string name = r.read_string();
-    float scale = r.read_f32();
-    require_valid_scale("variable '" + name + "'", scale);
-    Tensor t;
-    try {
-      t = read_tensor(&r);
-    } catch (const SerializationError& e) {
-      throw SerializationError("quantized snapshot variable '" + name +
-                               "': " + e.what());
-    }
-    if (t.dtype() != DType::kInt8) {
-      throw SerializationError("quantized snapshot variable '" + name +
-                               "' is not int8");
-    }
-    weight_scales.emplace(name, scale);
-    int8_weights.emplace(std::move(name), std::move(t));
-  }
-  uint32_t acount = r.read_u32();
-  std::map<std::string, float> act_scales;
-  for (uint32_t i = 0; i < acount; ++i) {
-    std::string name = r.read_string();
-    float scale = r.read_f32();
-    require_valid_scale("activation of '" + name + "'", scale);
-    act_scales.emplace(std::move(name), scale);
-  }
-  if (!r.at_end()) {
-    throw SerializationError("quantized snapshot has trailing bytes");
-  }
-  // Validate against the built graph BEFORE mutating: every named variable
-  // must exist as a float32 tensor of the stored shape.
-  GraphExecutor& exec = executor();
-  for (const auto& [name, t] : int8_weights) {
-    if (!exec.variables().exists(name)) {
-      throw SerializationError("quantized snapshot names unknown variable '" +
-                               name + "'");
-    }
-    const Tensor& current = exec.variables().get(name);
-    if (current.dtype() != DType::kFloat32 ||
-        !(current.shape() == t.shape())) {
-      throw SerializationError(
-          "quantized snapshot variable '" + name + "' is int8" +
-          t.shape().to_string() + " but the agent expects " +
-          std::string(dtype_name(current.dtype())) +
-          current.shape().to_string());
-    }
-  }
-  // Restore the fp32 weights by dequantizing, then install the int8 plan
-  // with the imported scales and tensors (no recalibration).
-  std::map<std::string, Tensor> fp32;
-  for (const auto& [name, t] : int8_weights) {
-    fp32.emplace(name, kernels::dequantize_linear(t, weight_scales.at(name)));
-  }
-  exec.set_weights(fp32);
-  int quantized = exec.enable_quantized_with_scales(
-      kGreedyApi, act_scales, weight_scales, int8_weights);
-  if (quantized == 0) {
-    throw SerializationError(
-        "quantized snapshot matched no MatMul in this agent's act_greedy "
-        "plan");
-  }
 }
 
 namespace {

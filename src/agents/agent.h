@@ -52,26 +52,6 @@ class Agent {
   std::vector<uint8_t> export_weights(const std::string& prefix = "");
   void import_weights(const std::vector<uint8_t>& bytes);
 
-  // --- int8 quantized inference ------------------------------------------------
-  // Post-training quantization of the greedy-action plan ("act_greedy").
-  // `sample_states` is a caller-supplied observation sample (each entry a
-  // states batch) used to calibrate per-tensor symmetric activation scales.
-  // Returns the number of quantized MatMuls; throws NotFoundError when the
-  // agent has no act_greedy API (e.g. IMPALA actors).
-  int enable_quantized_actions(const std::vector<Tensor>& sample_states);
-  bool quantized_actions_enabled();
-  // Greedy actions through the int8 plan (requires enable_quantized_actions
-  // or import_weights_quantized first).
-  Tensor get_actions_quantized(const Tensor& states);
-  // Quantized-weight wire format (magic "RLGQ"): per-variable int8 tensors
-  // with their symmetric scales plus the calibrated activation scales, so a
-  // serving process can install the int8 plan without re-calibrating.
-  // import validates everything — including finite positive scales — before
-  // mutating any state, then restores the fp32 variables by dequantizing
-  // and installs the quantized plan from the imported scales.
-  std::vector<uint8_t> export_weights_quantized();
-  void import_weights_quantized(const std::vector<uint8_t>& bytes);
-
   GraphExecutor& executor();
   const Json& config() const { return config_; }
   SpacePtr state_space() const { return state_space_; }

@@ -1,9 +1,7 @@
 #include "core/graph_executor.h"
 
-#include <cmath>
-
 #include "core/build_context.h"
-#include "tensor/kernels.h"
+#include "tensor/tensor_io.h"
 #include "util/errors.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -267,23 +265,11 @@ std::string GraphExecutor::graph_dump() const {
   return graph_->to_string();
 }
 
-namespace {
-// Int8 shadow variables are derived state (requantized from fp32 on every
-// weight update); weight snapshots and checkpoints carry only the fp32
-// source of truth so they stay importable into unquantized executors.
-bool is_int8_shadow(const std::string& name) {
-  constexpr char kSuffix[] = "/int8";
-  constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
-  return name.size() >= kSuffixLen &&
-         name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) == 0;
-}
-}  // namespace
-
 std::map<std::string, Tensor> GraphExecutor::get_weights(
     const std::string& prefix) {
   std::map<std::string, Tensor> out;
   for (const std::string& name : variables_.names()) {
-    if (name.rfind(prefix, 0) == 0 && !is_int8_shadow(name)) {
+    if (name.rfind(prefix, 0) == 0) {
       out.emplace(name, variables_.get(name).clone());
     }
   }
@@ -294,233 +280,10 @@ void GraphExecutor::set_weights(const std::map<std::string, Tensor>& weights) {
   for (const auto& [name, value] : weights) {
     variables_.set(name, value.clone());
   }
-  // Keep int8 shadows coherent with the fresh fp32 values. The shadows are
-  // requantized with the ORIGINAL calibration scales — the rewritten
-  // graphs bake those into their QuantizeLinear/MatMulInt8 attrs, so the
-  // scales must not drift with the weights.
-  std::map<std::string, float> shadow_scales;
-  for (const auto& [api, qa] : quantized_) {
-    for (const auto& [wname, scale] : qa->weight_scales) {
-      shadow_scales.emplace(wname, scale);
-    }
-  }
-  for (const auto& [wname, scale] : shadow_scales) {
-    auto it = weights.find(wname);
-    if (it == weights.end()) continue;
-    variables_.set(wname + "/int8",
-                   kernels::quantize_linear(it->second, scale));
-  }
-}
-
-// --- int8 quantized serving --------------------------------------------------
-
-namespace {
-float max_abs_value(const Tensor& t) {
-  const float* p = t.data<float>();
-  float m = 0.0f;
-  for (int64_t i = 0; i < t.num_elements(); ++i) {
-    float a = std::fabs(p[i]);
-    if (a > m) m = a;
-  }
-  return m;
-}
-
-// max-abs / 127, guarded so an all-zero calibration tensor still yields a
-// valid (positive) scale.
-float symmetric_scale(float max_abs) {
-  return max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
-}
-}  // namespace
-
-int GraphExecutor::enable_quantized(
-    const std::string& api,
-    const std::vector<std::vector<Tensor>>& sample_inputs) {
-  RLG_REQUIRE(built_, "enable_quantized before build()");
-  RLG_REQUIRE(options_.backend == Backend::kStatic && session_ != nullptr,
-              "enable_quantized requires the static backend");
-  RLG_REQUIRE(!sample_inputs.empty(),
-              "enable_quantized needs at least one calibration sample");
-  ApiHandle handle = api_handle(api);
-  ApiEntry& entry = entries_[static_cast<size_t>(handle.id)];
-  RLG_REQUIRE(entry.prepared != nullptr,
-              "API '" << api << "' has no compiled plan");
-
-  // Eligible MatMuls in the fetched closure — the weight operand must be a
-  // Variable read, the same predicate quantize_inference_graph applies.
-  struct EligibleMatMul {
-    std::string node_name;
-    std::string var_name;
-    Endpoint input0;
-  };
-  std::vector<EligibleMatMul> matmuls;
-  {
-    std::vector<uint8_t> seen(static_cast<size_t>(graph_->num_nodes()), 0);
-    std::vector<int> stack;
-    for (const Endpoint& f : entry.fetches) {
-      if (!seen[static_cast<size_t>(f.node)]) {
-        seen[static_cast<size_t>(f.node)] = 1;
-        stack.push_back(f.node);
-      }
-    }
-    while (!stack.empty()) {
-      int id = stack.back();
-      stack.pop_back();
-      const NodeDef& nd = graph_->node(id);
-      if (nd.op == "MatMul" && nd.inputs.size() == 2 &&
-          nd.control_inputs.empty() && nd.inputs[1].index == 0) {
-        const NodeDef& wn = graph_->node(nd.inputs[1].node);
-        if (wn.op == "Variable") {
-          matmuls.push_back(EligibleMatMul{
-              nd.name, attr_string(wn.attrs, "var_name"), nd.inputs[0]});
-        }
-      }
-      for (const Endpoint& e : nd.inputs) {
-        if (!seen[static_cast<size_t>(e.node)]) {
-          seen[static_cast<size_t>(e.node)] = 1;
-          stack.push_back(e.node);
-        }
-      }
-      for (int c : nd.control_inputs) {
-        if (!seen[static_cast<size_t>(c)]) {
-          seen[static_cast<size_t>(c)] = 1;
-          stack.push_back(c);
-        }
-      }
-    }
-  }
-  if (matmuls.empty()) return 0;
-
-  // Calibrate activation scales: run the fp32 plan fetching every eligible
-  // MatMul's input over the sample set and track per-tensor max-abs.
-  std::vector<Endpoint> cal_fetches;
-  cal_fetches.reserve(matmuls.size());
-  for (const EligibleMatMul& m : matmuls) cal_fetches.push_back(m.input0);
-  std::shared_ptr<Session::PreparedCall> cal =
-      session_->prepare(cal_fetches, entry.feed_nodes);
-  std::vector<float> act_max(matmuls.size(), 0.0f);
-  for (const std::vector<Tensor>& sample : sample_inputs) {
-    std::vector<Tensor> vals = cal->run(sample);
-    for (size_t i = 0; i < matmuls.size(); ++i) {
-      act_max[i] = std::max(act_max[i], max_abs_value(vals[i]));
-    }
-  }
-  std::map<std::string, float> act_scales;
-  std::map<std::string, float> weight_scales;
-  for (size_t i = 0; i < matmuls.size(); ++i) {
-    act_scales[matmuls[i].node_name] = symmetric_scale(act_max[i]);
-    if (!weight_scales.count(matmuls[i].var_name)) {
-      weight_scales[matmuls[i].var_name] =
-          symmetric_scale(max_abs_value(variables_.get(matmuls[i].var_name)));
-    }
-  }
-  return enable_quantized_with_scales(api, act_scales, weight_scales);
-}
-
-int GraphExecutor::enable_quantized_with_scales(
-    const std::string& api, const std::map<std::string, float>& act_scales,
-    const std::map<std::string, float>& weight_scales,
-    const std::map<std::string, Tensor>& int8_weights) {
-  RLG_REQUIRE(built_, "enable_quantized_with_scales before build()");
-  RLG_REQUIRE(options_.backend == Backend::kStatic && session_ != nullptr,
-              "quantized serving requires the static backend");
-  ApiHandle handle = api_handle(api);
-  ApiEntry& entry = entries_[static_cast<size_t>(handle.id)];
-  RLG_REQUIRE(entry.prepared != nullptr,
-              "API '" << api << "' has no compiled plan");
-
-  QuantizeGraphResult q =
-      quantize_inference_graph(*graph_, act_scales, weight_scales);
-  if (q.graph == nullptr || q.quantized_matmuls == 0) return 0;
-
-  // Materialize the int8 shadow variables before the rewritten plan can
-  // run; Variable reads on unknown names throw at execution time.
-  for (const auto& [wname, scale] : weight_scales) {
-    std::string shadow = wname + "/int8";
-    Tensor qt;
-    auto it = int8_weights.find(wname);
-    if (it != int8_weights.end()) {
-      RLG_REQUIRE(it->second.dtype() == DType::kInt8,
-                  "int8 weight for '" << wname << "' has dtype "
-                                      << dtype_name(it->second.dtype()));
-      qt = it->second.clone();
-    } else {
-      qt = kernels::quantize_linear(variables_.get(wname), scale);
-    }
-    if (variables_.exists(shadow)) {
-      variables_.set(shadow, std::move(qt));
-    } else {
-      variables_.create(shadow, std::move(qt));
-    }
-  }
-
-  auto qa = std::make_unique<QuantizedApi>();
-  qa->graph = std::shared_ptr<const GraphDef>(q.graph);
-  qa->session = std::make_unique<Session>(qa->graph, &variables_, &rng_);
-  qa->session->set_pattern_fusion(options_.optimize);
-  if (options_.profiling) qa->session->set_metrics(&profile_);
-  qa->fetches.reserve(entry.fetches.size());
-  for (const Endpoint& f : entry.fetches) {
-    qa->fetches.push_back(q.endpoint_map.at(f));
-  }
-  qa->feed_nodes.reserve(entry.feed_nodes.size());
-  for (int id : entry.feed_nodes) {
-    qa->feed_nodes.push_back(q.endpoint_map.at(Endpoint{id, 0}).node);
-  }
-  qa->prepared = qa->session->prepare(qa->fetches, qa->feed_nodes);
-  qa->act_scales = act_scales;
-  qa->weight_scales = weight_scales;
-  qa->quantized_matmuls = q.quantized_matmuls;
-  int count = q.quantized_matmuls;
-  quantized_[api] = std::move(qa);
-  return count;
-}
-
-const GraphExecutor::QuantizedApi& GraphExecutor::quantized_api_or_throw(
-    const std::string& api) const {
-  auto it = quantized_.find(api);
-  if (it == quantized_.end()) {
-    throw NotFoundError("API '" + api +
-                        "' has no quantized plan; call enable_quantized first");
-  }
-  return *it->second;
-}
-
-bool GraphExecutor::quantized_enabled(const std::string& api) const {
-  return quantized_.count(api) > 0;
-}
-
-std::vector<Tensor> GraphExecutor::execute_quantized(
-    const std::string& api, const std::vector<Tensor>& inputs) {
-  const QuantizedApi& qa = quantized_api_or_throw(api);
-  ++execution_calls_;
-  if (options_.specialize_shapes && !inputs.empty() &&
-      qa.prepared->plan().feeds_batchable()) {
-    std::vector<Shape> shapes;
-    shapes.reserve(inputs.size());
-    for (const Tensor& t : inputs) shapes.push_back(t.shape());
-    return qa.session
-        ->prepare_specialized(qa.fetches, qa.feed_nodes, shapes)
-        ->run(inputs);
-  }
-  return qa.prepared->run(inputs);
-}
-
-const std::map<std::string, float>& GraphExecutor::quantized_act_scales(
-    const std::string& api) const {
-  return quantized_api_or_throw(api).act_scales;
-}
-
-const std::map<std::string, float>& GraphExecutor::quantized_weight_scales(
-    const std::string& api) const {
-  return quantized_api_or_throw(api).weight_scales;
 }
 
 int64_t GraphExecutor::fused_dispatches() const {
-  int64_t total = session_ != nullptr ? session_->fused_dispatches() : 0;
-  for (const auto& [api, qa] : quantized_) {
-    total += qa->session->fused_dispatches();
-  }
-  return total;
+  return session_ != nullptr ? session_->fused_dispatches() : 0;
 }
 
 namespace {
@@ -532,51 +295,56 @@ std::vector<uint8_t> GraphExecutor::export_variables() {
   ByteWriter w;
   w.write_u32(kCheckpointMagic);
   w.write_u32(kCheckpointVersion);
-  std::vector<std::string> names;
-  for (const std::string& name : variables_.names()) {
-    if (!is_int8_shadow(name)) names.push_back(name);
-  }
+  std::vector<std::string> names = variables_.names();
   w.write_u32(static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
-    const Tensor& t = variables_.get(name);
     w.write_string(name);
-    w.write_u8(static_cast<uint8_t>(t.dtype()));
-    w.write_u32(static_cast<uint32_t>(t.shape().rank()));
-    for (int64_t d : t.shape().dims()) w.write_i64(d);
-    w.write_u64(t.byte_size());
-    w.write_bytes(t.raw(), t.byte_size());
+    write_tensor(&w, variables_.get(name));
   }
   return w.take();
 }
 
 void GraphExecutor::import_variables(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
-  RLG_REQUIRE(r.read_u32() == kCheckpointMagic,
-              "bad checkpoint magic; not an RLgraph variable file");
-  RLG_REQUIRE(r.read_u32() == kCheckpointVersion,
-              "unsupported checkpoint version");
+  if (r.read_u32() != kCheckpointMagic) {
+    throw SerializationError(
+        "bad checkpoint magic; not an RLgraph variable file (RLGV)");
+  }
+  if (r.read_u32() != kCheckpointVersion) {
+    throw SerializationError("unsupported checkpoint version");
+  }
+  // Decode and validate every entry before assigning any, so a corrupt
+  // checkpoint leaves the variable store untouched.
   uint32_t count = r.read_u32();
+  std::map<std::string, Tensor> decoded;
   for (uint32_t i = 0; i < count; ++i) {
     std::string name = r.read_string();
-    DType dtype = static_cast<DType>(r.read_u8());
-    uint32_t rank = r.read_u32();
-    std::vector<int64_t> dims(rank);
-    for (uint32_t d = 0; d < rank; ++d) dims[d] = r.read_i64();
-    uint64_t nbytes = r.read_u64();
-    Tensor t(dtype, Shape(dims));
-    RLG_REQUIRE(t.byte_size() == nbytes, "checkpoint size mismatch for '"
-                                             << name << "'");
-    r.read_bytes(t.mutable_raw(), nbytes);
-    variables_.set(name, std::move(t));
-  }
-  // Checkpoints carry only fp32 variables; rebuild any int8 shadows from
-  // the restored values with their original calibration scales.
-  for (const auto& [api, qa] : quantized_) {
-    for (const auto& [wname, scale] : qa->weight_scales) {
-      variables_.set(wname + "/int8",
-                     kernels::quantize_linear(variables_.get(wname), scale));
+    Tensor t;
+    try {
+      t = read_tensor(&r);
+    } catch (const SerializationError& e) {
+      throw SerializationError("checkpoint variable '" + name + "': " +
+                               e.what());
     }
+    if (!variables_.exists(name)) {
+      throw SerializationError("checkpoint names unknown variable '" + name +
+                               "'");
+    }
+    const Tensor& current = variables_.get(name);
+    if (current.dtype() != t.dtype() || !(current.shape() == t.shape())) {
+      throw SerializationError(
+          "checkpoint variable '" + name + "' is " +
+          std::string(dtype_name(t.dtype())) + t.shape().to_string() +
+          " but the executor expects " +
+          std::string(dtype_name(current.dtype())) +
+          current.shape().to_string());
+    }
+    decoded[std::move(name)] = std::move(t);
   }
+  if (!r.at_end()) {
+    throw SerializationError("checkpoint has trailing bytes");
+  }
+  for (auto& [name, t] : decoded) variables_.set(name, std::move(t));
 }
 
 }  // namespace rlgraph

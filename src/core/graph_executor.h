@@ -108,43 +108,12 @@ class GraphExecutor {
   // All variables whose scoped name starts with `prefix` ("" = all).
   std::map<std::string, Tensor> get_weights(const std::string& prefix = "");
   void set_weights(const std::map<std::string, Tensor>& weights);
-  // Checkpoint format (magic "RLGV"); round-trips through import.
+  // Checkpoint format (magic "RLGV"); round-trips through import. Import
+  // validates every entry against the variable store before assigning any
+  // and throws SerializationError on a corrupt or mismatched checkpoint.
   std::vector<uint8_t> export_variables();
   void import_variables(const std::vector<uint8_t>& bytes);
-
-  // --- int8 quantized serving ------------------------------------------------
-  // Post-training quantization of one API's inference plan (static backend
-  // only). Calibration runs the fp32 plan over the caller's sample inputs to
-  // find per-tensor symmetric activation scales (max-abs / 127) for every
-  // MatMul whose weight is a Variable read; weight scales come from the
-  // current variable values. The API's graph is then rewritten through
-  // quantize_inference_graph and served by its own session over the shared
-  // variable store, with `<var>/int8` shadow variables holding the
-  // quantized weights. Returns the number of quantized MatMuls (0 = nothing
-  // eligible; no quantized plan is installed). Scales stay fixed after
-  // calibration: set_weights() requantizes the shadows with the original
-  // scales so the rewritten graph's attrs stay valid across weight updates.
-  int enable_quantized(const std::string& api,
-                       const std::vector<std::vector<Tensor>>& sample_inputs);
-  // Install a quantized plan from externally supplied scales (the
-  // import-weights path). `int8_weights` maps fp32 variable name -> already
-  // quantized int8 tensor; missing entries are quantized from the current
-  // fp32 value.
-  int enable_quantized_with_scales(
-      const std::string& api, const std::map<std::string, float>& act_scales,
-      const std::map<std::string, float>& weight_scales,
-      const std::map<std::string, Tensor>& int8_weights = {});
-  bool quantized_enabled(const std::string& api) const;
-  // Serve one request through the api's int8 plan (throws NotFoundError
-  // when enable_quantized was not called for it).
-  std::vector<Tensor> execute_quantized(const std::string& api,
-                                        const std::vector<Tensor>& inputs);
-  // Calibrated scales of an enabled API (for wire export).
-  const std::map<std::string, float>& quantized_act_scales(
-      const std::string& api) const;
-  const std::map<std::string, float>& quantized_weight_scales(
-      const std::string& api) const;
-  // Fused composite dispatches across the main and quantized sessions.
+  // Fused composite dispatches of the main session.
   int64_t fused_dispatches() const;
 
  private:
@@ -166,22 +135,6 @@ class GraphExecutor {
     FastPathProgram fast_path;
     bool traced = false;
   };
-
-  // One API's int8 serving plan: a rewritten graph with its own session
-  // (sharing the executor's variable store and RNG) plus the calibrated
-  // scales, kept so weight updates can requantize the int8 shadows.
-  struct QuantizedApi {
-    std::shared_ptr<const GraphDef> graph;
-    std::unique_ptr<Session> session;
-    std::shared_ptr<Session::PreparedCall> prepared;
-    std::vector<Endpoint> fetches;
-    std::vector<int> feed_nodes;
-    std::map<std::string, float> act_scales;     // MatMul node name -> scale
-    std::map<std::string, float> weight_scales;  // variable name -> scale
-    int quantized_matmuls = 0;
-  };
-
-  const QuantizedApi& quantized_api_or_throw(const std::string& api) const;
 
   std::vector<Tensor> execute_entry(ApiEntry& entry,
                                     const std::vector<Tensor>& inputs);
@@ -208,7 +161,6 @@ class GraphExecutor {
   // Static backend state.
   std::shared_ptr<GraphDef> graph_;
   std::unique_ptr<Session> session_;
-  std::map<std::string, std::unique_ptr<QuantizedApi>> quantized_;
 };
 
 }  // namespace rlgraph

@@ -258,33 +258,6 @@ void register_math_ops(OpRegistry& r) {
         return std::vector<Tensor>{
             kernels::fused_elementwise(k.inputs[0], extras, links)};
       });
-
-  // Int8 quantization ops (produced by quantize_inference_graph).
-  reg(
-      r, "QuantizeLinear",
-      [](const SIC& c) {
-        RLG_REQUIRE(c.input_dtypes[0] == DType::kFloat32,
-                    "QuantizeLinear requires float32 input");
-        return single(DType::kInt8, c.input_shapes[0]);
-      },
-      [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::quantize_linear(
-            k.inputs[0],
-            static_cast<float>(attr_double(k.node->attrs, "scale")))};
-      });
-
-  reg(
-      r, "DequantizeLinear",
-      [](const SIC& c) {
-        RLG_REQUIRE(c.input_dtypes[0] == DType::kInt8,
-                    "DequantizeLinear requires int8 input");
-        return single(DType::kFloat32, c.input_shapes[0]);
-      },
-      [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::dequantize_linear(
-            k.inputs[0],
-            static_cast<float>(attr_double(k.node->attrs, "scale")))};
-      });
 }
 
 void register_linalg_ops(OpRegistry& r) {
@@ -336,33 +309,6 @@ void register_linalg_ops(OpRegistry& r) {
             k.inputs[0], k.inputs[1], k.inputs[2],
             kernels::fused_activation_from_string(
                 attr_string(k.node->attrs, "activation")))};
-      });
-
-  // MatMulInt8: int8 x int8 -> float32 with int32 accumulation and a single
-  // output rescale (= input scale * weight scale).
-  reg(
-      r, "MatMulInt8",
-      [](const SIC& c) {
-        RLG_REQUIRE(c.input_shapes.size() == 2, "MatMulInt8 expects 2 inputs");
-        RLG_REQUIRE(c.input_dtypes[0] == DType::kInt8 &&
-                        c.input_dtypes[1] == DType::kInt8,
-                    "MatMulInt8 requires int8 inputs");
-        const Shape& a = c.input_shapes[0];
-        const Shape& b = c.input_shapes[1];
-        RLG_REQUIRE(a.rank() == 2 && b.rank() == 2,
-                    "MatMulInt8 requires rank-2 inputs, got "
-                        << a.to_string() << " x " << b.to_string());
-        if (a.dim(1) != kUnknownDim && b.dim(0) != kUnknownDim) {
-          RLG_REQUIRE(a.dim(1) == b.dim(0), "MatMulInt8 inner dim mismatch: "
-                                                << a.to_string() << " x "
-                                                << b.to_string());
-        }
-        return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
-      },
-      [](KernelContext& k) {
-        return std::vector<Tensor>{kernels::matmul_int8(
-            k.inputs[0], k.inputs[1],
-            static_cast<float>(attr_double(k.node->attrs, "rescale")))};
       });
 
   reg(

@@ -631,91 +631,4 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
   return result;
 }
 
-// --- int8 post-training quantization ----------------------------------------
-
-QuantizeGraphResult quantize_inference_graph(
-    const GraphDef& graph, const std::map<std::string, float>& act_scales,
-    const std::map<std::string, float>& weight_scales) {
-  QuantizeGraphResult result;
-  const int n = graph.num_nodes();
-  auto new_graph = std::make_shared<GraphDef>();
-  std::map<int, int> node_map;
-  auto map_endpoint = [&](const Endpoint& e) {
-    auto it = node_map.find(e.node);
-    RLG_CHECK_MSG(it != node_map.end(),
-                  "quantize pass ordering bug: input not yet emitted");
-    return Endpoint{it->second, e.index};
-  };
-
-  for (int id = 0; id < n; ++id) {
-    const NodeDef& nd = graph.node(id);
-    if (nd.op == "MatMul" && nd.control_inputs.empty() &&
-        nd.inputs.size() == 2 && nd.inputs[1].index == 0) {
-      auto ait = act_scales.find(nd.name);
-      const NodeDef& wnode = graph.node(nd.inputs[1].node);
-      if (ait != act_scales.end() && wnode.op == "Variable") {
-        const std::string& wname = attr_string(wnode.attrs, "var_name");
-        auto wit = weight_scales.find(wname);
-        if (wit != weight_scales.end()) {
-          NodeDef q;
-          q.name = nd.name + "/quantize_in";
-          q.op = "QuantizeLinear";
-          q.inputs = {map_endpoint(nd.inputs[0])};
-          q.attrs["scale"] = static_cast<double>(ait->second);
-          q.out_dtypes = {DType::kInt8};
-          q.out_shapes = {graph.shape_of(nd.inputs[0])};
-          q.device = nd.device;
-          int qid = new_graph->add_node(std::move(q));
-
-          NodeDef wq;
-          wq.name = wnode.name + "/int8";
-          wq.op = "Variable";
-          wq.attrs["var_name"] = wname + "/int8";
-          wq.attrs["dtype"] = DType::kInt8;
-          wq.attrs["shape"] = wnode.out_shapes[0];
-          wq.out_dtypes = {DType::kInt8};
-          wq.out_shapes = {wnode.out_shapes[0]};
-          wq.device = wnode.device;
-          wq.stateful = true;
-          int wid = new_graph->add_node(std::move(wq));
-
-          NodeDef mm;
-          mm.name = nd.name + "/int8";
-          mm.op = "MatMulInt8";
-          mm.inputs = {Endpoint{qid, 0}, Endpoint{wid, 0}};
-          mm.attrs["rescale"] =
-              static_cast<double>(ait->second) * static_cast<double>(wit->second);
-          mm.out_dtypes = {DType::kFloat32};
-          mm.out_shapes = nd.out_shapes;
-          mm.device = nd.device;
-          node_map[id] = new_graph->add_node(std::move(mm));
-          ++result.quantized_matmuls;
-          continue;
-        }
-      }
-    }
-    NodeDef copy = nd;
-    copy.id = -1;
-    for (Endpoint& e : copy.inputs) e = map_endpoint(e);
-    for (int& c : copy.control_inputs) c = node_map.at(c);
-    node_map[id] = new_graph->add_node(std::move(copy));
-  }
-
-  if (result.quantized_matmuls == 0) {
-    result.graph = nullptr;
-    return result;
-  }
-  for (const auto& [old_id, new_id] : node_map) {
-    const NodeDef& nn = new_graph->node(new_id);
-    for (int i = 0; i < nn.num_outputs(); ++i) {
-      result.endpoint_map[Endpoint{old_id, i}] = Endpoint{new_id, i};
-    }
-    if (nn.num_outputs() == 0) {
-      result.endpoint_map[Endpoint{old_id, 0}] = Endpoint{new_id, 0};
-    }
-  }
-  result.graph = std::move(new_graph);
-  return result;
-}
-
 }  // namespace rlgraph

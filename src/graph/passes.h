@@ -66,24 +66,4 @@ struct PlanFusionResult {
 PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
                                     const std::vector<Endpoint>& keep);
 
-// --- int8 post-training quantization ----------------------------------------
-//
-// Rewrites every MatMul whose weight operand is a Variable read into
-// QuantizeLinear(x) -> MatMulInt8(xq, <var>/int8) with an int32 accumulator
-// rescaled to float32 (scale_x * scale_w) at the output. Per-tensor
-// symmetric scales: `act_scales` maps MatMul node name -> calibrated input
-// activation scale, `weight_scales` maps variable name -> weight scale. The
-// caller is responsible for materializing the `<name>/int8` shadow
-// variables before the rewritten graph runs. MatMuls without both scales
-// are copied unchanged.
-struct QuantizeGraphResult {
-  std::shared_ptr<GraphDef> graph;  // null when no MatMul qualified
-  std::map<Endpoint, Endpoint> endpoint_map;
-  int quantized_matmuls = 0;
-};
-
-QuantizeGraphResult quantize_inference_graph(
-    const GraphDef& graph, const std::map<std::string, float>& act_scales,
-    const std::map<std::string, float>& weight_scales);
-
 }  // namespace rlgraph

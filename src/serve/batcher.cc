@@ -8,17 +8,6 @@
 namespace rlgraph {
 namespace serve {
 
-Precision precision_from_string(const std::string& s) {
-  if (s == "fp32") return Precision::kFp32;
-  if (s == "int8") return Precision::kInt8;
-  throw ValueError("unknown serving precision '" + s +
-                   "' (expected \"fp32\" or \"int8\")");
-}
-
-const char* precision_name(Precision p) {
-  return p == Precision::kInt8 ? "int8" : "fp32";
-}
-
 DynamicBatcher::DynamicBatcher(BatcherConfig config, MetricRegistry* metrics,
                                TenantRegistry* tenants)
     : config_(config), metrics_(metrics), tenants_(tenants) {
@@ -89,7 +78,6 @@ DynamicBatcher::~DynamicBatcher() {
 
 std::future<ActResult> DynamicBatcher::submit(Tensor obs,
                                               ServeClock::time_point deadline,
-                                              Precision precision,
                                               const std::string& tenant,
                                               uint64_t request_id) {
   trace::TraceSpan span("serve", "serve/admit");
@@ -97,7 +85,6 @@ std::future<ActResult> DynamicBatcher::submit(Tensor obs,
   req.obs = std::move(obs);
   req.enqueued = ServeClock::now();
   req.deadline = deadline;
-  req.precision = precision;
   req.tenant = tenant;
   req.request_id = request_id;
   std::future<ActResult> fut = req.promise.get_future();

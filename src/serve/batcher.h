@@ -49,23 +49,11 @@
 namespace rlgraph {
 namespace serve {
 
-// Numeric precision a request asks to be served at. kInt8 requests route
-// through the engine's quantized plan when one is loaded; servers fall back
-// to fp32 (and count the fallback) when it is not.
-enum class Precision { kFp32 = 0, kInt8 = 1 };
-
-// Parse "fp32" | "int8" (throws ValueError otherwise).
-Precision precision_from_string(const std::string& s);
-const char* precision_name(Precision p);
-
 // What a client gets back: the action for its observation plus the policy
 // version that computed it (all requests of one batch share a version).
 struct ActResult {
   Tensor action;
   int64_t policy_version = 0;
-  // The precision the request was actually served at (an int8 request can
-  // come back kFp32 when no quantized variant was available).
-  Precision served_precision = Precision::kFp32;
   // Echo of the submitted request id (canary routing key).
   uint64_t request_id = 0;
 };
@@ -74,7 +62,6 @@ struct ActRequest {
   Tensor obs;  // single observation, no batch rank
   ServeClock::time_point enqueued;
   ServeClock::time_point deadline = kNoDeadline;
-  Precision precision = Precision::kFp32;
   std::string tenant;       // kDefaultTenant when the caller named none
   uint64_t request_id = 0;  // deterministic canary-routing key
   std::promise<ActResult> promise;
@@ -116,7 +103,6 @@ class DynamicBatcher {
   // global-vs-tenant scope) or the batcher is closed.
   std::future<ActResult> submit(Tensor obs,
                                 ServeClock::time_point deadline = kNoDeadline,
-                                Precision precision = Precision::kFp32,
                                 const std::string& tenant = kDefaultTenant,
                                 uint64_t request_id = 0);
 

@@ -28,25 +28,10 @@ Tensor AgentServingEngine::forward(const Tensor& obs_batch) {
   return agent_->get_actions(obs_batch, /*explore=*/false);
 }
 
-void AgentServingEngine::load_quantized(const PolicySnapshot& snapshot) {
-  RLG_REQUIRE(snapshot.has_quantized(),
-              "cannot load a snapshot without a quantized variant");
-  agent_->import_weights_quantized(*snapshot.quantized);
-}
-
-bool AgentServingEngine::quantized_ready() const {
-  return agent_->quantized_actions_enabled();
-}
-
-Tensor AgentServingEngine::forward_quantized(const Tensor& obs_batch) {
-  return agent_->get_actions_quantized(obs_batch);
-}
-
 // --- RequestClassConfig ------------------------------------------------------
 
 RequestClassConfig RequestClassConfig::from_json(const Json& config) {
   RequestClassConfig rc;
-  rc.precision = precision_from_string(config.get_string("precision", "fp32"));
   rc.deadline =
       std::chrono::microseconds(config.get_int("deadline_us", 0));
   rc.tenant = config.get_string("tenant", kDefaultTenant);
@@ -169,14 +154,6 @@ std::future<ActResult> PolicyServer::act_async(
   return act_async(std::move(obs), options);
 }
 
-std::future<ActResult> PolicyServer::act_async(
-    Tensor obs, Precision precision, std::chrono::microseconds deadline) {
-  ActOptions options;
-  options.precision = precision;
-  options.deadline = deadline;
-  return act_async(std::move(obs), options);
-}
-
 std::future<ActResult> PolicyServer::act_async(Tensor obs,
                                                const ActOptions& options) {
   RLG_REQUIRE(running_, "PolicyServer::act before start()");
@@ -189,10 +166,6 @@ std::future<ActResult> PolicyServer::act_async(Tensor obs,
     }
     rc = &it->second;
   }
-  const Precision precision = options.precision.has_value()
-                                  ? *options.precision
-                                  : (rc != nullptr ? rc->precision
-                                                   : config_.default_precision);
   const std::chrono::microseconds deadline =
       options.deadline.count() > 0
           ? options.deadline
@@ -214,8 +187,8 @@ std::future<ActResult> PolicyServer::act_async(Tensor obs,
                     << dtype_name(obs_dtype_) << obs_shape_.to_string()
                     << " (single observation, no batch rank)");
   }
-  return batcher_.submit(std::move(obs), deadline_from_now(deadline),
-                         precision, tenant, request_id);
+  return batcher_.submit(std::move(obs), deadline_from_now(deadline), tenant,
+                         request_id);
 }
 
 ActResult PolicyServer::act(const Tensor& obs) {
@@ -266,7 +239,6 @@ void PolicyServer::serve_loop(int shard) {
   }
 
   int64_t have_version = 0;
-  int64_t have_quantized_version = 0;
 
   // Canary replica: built lazily the first time this shard sees a
   // canary-routed request, so shards pay for a second engine only while a
@@ -287,13 +259,13 @@ void PolicyServer::serve_loop(int shard) {
     metrics_.increment("serve/batch_failures");
   };
 
-  // One partition of a flushed batch, served as a single forward pass
+  // One side of a flushed batch, served as a single forward pass
   // through `eng`. A failure stays contained to the group's own requests —
   // other groups' promises may already be satisfied. While a rollout is in
   // flight (record_outcomes), every outcome lands in the controller's
   // per-side window.
-  auto serve_group = [&](std::vector<ActRequest>& group, bool quantized,
-                         int64_t version, ServingEngine* eng, RouteKind side,
+  auto serve_group = [&](std::vector<ActRequest>& group, int64_t version,
+                         ServingEngine* eng, RouteKind side,
                          bool record_outcomes) {
     if (group.empty()) return;
     try {
@@ -314,10 +286,7 @@ void PolicyServer::serve_loop(int shard) {
         trace::TraceSpan fwd_span("serve", "serve/forward");
         fwd_span.set_arg("batch", padded);
         fwd_span.set_arg("policy_version", version);
-        fwd_span.set_arg("int8", quantized ? 1 : 0);
-        Tensor stacked = stack_leading(observations);
-        actions = quantized ? eng->forward_quantized(stacked)
-                            : eng->forward(stacked);
+        actions = eng->forward(stack_leading(observations));
       }
       std::vector<Tensor> per_request = unstack_leading(actions);
       RLG_CHECK_MSG(per_request.size() == static_cast<size_t>(padded),
@@ -338,14 +307,11 @@ void PolicyServer::serve_loop(int shard) {
         ActResult result;
         result.action = std::move(per_request[i]);
         result.policy_version = version;
-        result.served_precision =
-            quantized ? Precision::kInt8 : Precision::kFp32;
         result.request_id = group[i].request_id;
         group[i].promise.set_value(std::move(result));
       }
       metrics_.increment("serve/requests", real);
       metrics_.increment("serve/batches");
-      if (quantized) metrics_.increment("serve/quantized_serves", real);
     } catch (...) {
       fail_group(group, std::current_exception(), side, record_outcomes);
     }
@@ -379,14 +345,10 @@ void PolicyServer::serve_loop(int shard) {
       batch = std::move(stable);
     }
 
-    // Hot-swap between batches: the whole batch runs one fp32 version and
-    // (when present) one quantized version. Per-variant versions move
-    // independently — a fp32-only publication advances have_version while
-    // the int8 plan keeps serving its last paired version's requests only
-    // after a matching quantized publication (stale pairings are rejected
-    // below). While a rollout is in flight the stable side stays PINNED to
-    // the controller's baseline version even if newer versions (the
-    // candidate among them) have been published.
+    // Hot-swap between batches: the whole batch runs one version. While a
+    // rollout is in flight the stable side stays PINNED to the controller's
+    // baseline version even if newer versions (the candidate among them)
+    // have been published.
     try {
       PolicySnapshot snap;
       const int64_t newest = store_.version();
@@ -399,24 +361,7 @@ void PolicyServer::serve_loop(int shard) {
         // degrade to newest rather than serve nothing.
         if (!snap.valid()) snap = store_.snapshot();
       }
-      // Quantized first: installing an RLGQ payload restores the fp32
-      // variables by DEQUANTIZING (the standalone-process import path), so
-      // the exact fp32 snapshot must load after it. The fp32 load then
-      // requantizes the int8 shadows with the imported scales — an exact
-      // round-trip back to the published int8 weights.
-      const bool loaded_quantized =
-          snap.has_quantized() && engine->supports_quantized() &&
-          snap.version != have_quantized_version;
-      if (loaded_quantized) {
-        trace::TraceSpan swap_span("serve", "serve/load_quantized");
-        swap_span.set_arg("policy_version", snap.version);
-        engine->load_quantized(snap);
-        have_quantized_version = snap.version;
-        metrics_.set_gauge("serve/quantized_policy_version",
-                           static_cast<double>(have_quantized_version));
-      }
-      if (snap.valid() &&
-          (snap.version != have_version || loaded_quantized)) {
+      if (snap.valid() && snap.version != have_version) {
         trace::TraceSpan swap_span("serve", "serve/load_snapshot");
         swap_span.set_arg("policy_version", snap.version);
         engine->load(snap);
@@ -433,41 +378,14 @@ void PolicyServer::serve_loop(int shard) {
       continue;
     }
 
-    // Partition the stable side by requested precision. int8 requests only
-    // route to the quantized plan while one is actually loaded AND paired
-    // with the current fp32 version; otherwise they fall back to fp32
-    // (counted).
-    const bool quantized_live = engine->supports_quantized() &&
-                                engine->quantized_ready() &&
-                                have_quantized_version == have_version;
-    std::vector<ActRequest> fp32_group;
-    std::vector<ActRequest> int8_group;
-    int64_t fallbacks = 0;
-    for (ActRequest& req : batch) {
-      if (req.precision == Precision::kInt8) {
-        if (quantized_live) {
-          int8_group.push_back(std::move(req));
-          continue;
-        }
-        ++fallbacks;
-      }
-      fp32_group.push_back(std::move(req));
-    }
+    serve_group(batch, have_version, engine.get(), RouteKind::kBaseline,
+                canary_active);
 
-    serve_group(fp32_group, /*quantized=*/false, have_version, engine.get(),
-                RouteKind::kBaseline, canary_active);
-    serve_group(int8_group, /*quantized=*/true, have_quantized_version,
-                engine.get(), RouteKind::kBaseline, canary_active);
-
-    // The canary side runs its own replica on the candidate version,
-    // fp32-only (int8-in-canary counts as a quantized fallback). Build and
-    // load failures fail ONLY the canary group and are recorded as canary
-    // errors — a broken candidate rolls itself back through the error-rate
-    // guardband instead of taking the stable side down.
+    // The canary side runs its own replica on the candidate version. Build
+    // and load failures fail ONLY the canary group and are recorded as
+    // canary errors — a broken candidate rolls itself back through the
+    // error-rate guardband instead of taking the stable side down.
     if (!canary_group.empty()) {
-      for (const ActRequest& req : canary_group) {
-        if (req.precision == Precision::kInt8) ++fallbacks;
-      }
       if (canary_engine == nullptr && canary_engine_error == nullptr) {
         try {
           canary_engine = factory_(shard);
@@ -499,14 +417,9 @@ void PolicyServer::serve_loop(int shard) {
         fail_group(canary_group, canary_error, RouteKind::kCanary,
                    /*record_outcomes=*/true);
       } else {
-        serve_group(canary_group, /*quantized=*/false, canary_have_version,
-                    canary_engine.get(), RouteKind::kCanary,
-                    /*record_outcomes=*/true);
+        serve_group(canary_group, canary_have_version, canary_engine.get(),
+                    RouteKind::kCanary, /*record_outcomes=*/true);
       }
-    }
-
-    if (fallbacks > 0) {
-      metrics_.increment("serve/quantized_fallbacks", fallbacks);
     }
 
     // One guardband check per served batch: cheap until a decision epoch

@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,19 +48,6 @@ class ServingEngine {
   virtual void load(const PolicySnapshot& snapshot) = 0;
   // Greedy actions for a stacked observation batch [B, ...] -> [B, ...].
   virtual Tensor forward(const Tensor& obs_batch) = 0;
-
-  // --- int8 variant (optional) ---------------------------------------------
-  // Engines that can serve quantized plans override all three. The serve
-  // loop only calls load_quantized on snapshots with has_quantized(), and
-  // only calls forward_quantized while quantized_ready() — int8 requests
-  // fall back to fp32 otherwise.
-  virtual bool supports_quantized() const { return false; }
-  virtual void load_quantized(const PolicySnapshot& /*snapshot*/) {}
-  virtual bool quantized_ready() const { return false; }
-  virtual Tensor forward_quantized(const Tensor& obs_batch) {
-    (void)obs_batch;
-    throw NotFoundError("this serving engine has no quantized plan");
-  }
 };
 
 // The standard engine: a replica agent built from the trainer's declarative
@@ -77,15 +63,6 @@ class AgentServingEngine : public ServingEngine {
   void load(const PolicySnapshot& snapshot) override;
   Tensor forward(const Tensor& obs_batch) override;
 
-  // int8: load_quantized installs the snapshot's RLGQ payload via
-  // Agent::import_weights_quantized; forward_quantized runs the agent's
-  // int8 greedy plan. Ready once any quantized snapshot loaded (or the
-  // factory pre-enabled quantization on the replica).
-  bool supports_quantized() const override { return true; }
-  void load_quantized(const PolicySnapshot& snapshot) override;
-  bool quantized_ready() const override;
-  Tensor forward_quantized(const Tensor& obs_batch) override;
-
   Agent& agent() { return *agent_; }
 
  private:
@@ -93,10 +70,9 @@ class AgentServingEngine : public ServingEngine {
 };
 
 // One named request class: clients tag act_async calls with the class name
-// and inherit its precision, deadline, and tenant. Parsed from JSON of the
-// form {"precision": "int8"|"fp32", "deadline_us": 2500, "tenant": "rt"}.
+// and inherit its deadline and tenant. Parsed from JSON of the form
+// {"deadline_us": 2500, "tenant": "rt"}.
 struct RequestClassConfig {
-  Precision precision = Precision::kFp32;
   // Zero inherits the server's default_deadline.
   std::chrono::microseconds deadline{0};
   // Tenant the class's requests are admitted under ("" = default tenant).
@@ -117,8 +93,6 @@ struct ActOptions {
   // Named request class from PolicyServerConfig::request_classes ("" =
   // none; unknown names throw NotFoundError).
   std::string request_class;
-  // Overrides the class/server precision when set.
-  std::optional<Precision> precision;
   // Overrides the class/server deadline when > 0.
   std::chrono::microseconds deadline{0};
   // Deterministic canary-routing key; 0 auto-assigns from the server's
@@ -148,9 +122,6 @@ struct PolicyServerConfig {
   // set; the implicit power-of-two default does not (its bucket 1 would
   // flush every request as a singleton).
   std::vector<int64_t> batch_buckets;
-  // Precision for requests that name neither a precision nor a request
-  // class.
-  Precision default_precision = Precision::kFp32;
   // Named request classes for act_async(obs, class_name).
   std::map<std::string, RequestClassConfig> request_classes;
   // --- control plane ---------------------------------------------------------
@@ -213,17 +184,13 @@ class PolicyServer {
   std::future<ActResult> act_async(Tensor obs);
   std::future<ActResult> act_async(Tensor obs,
                                    std::chrono::microseconds deadline);
-  // Explicit precision (int8 requests fall back to fp32 — counted in
-  // serve/quantized_fallbacks — while no quantized variant is loaded).
-  std::future<ActResult> act_async(Tensor obs, Precision precision,
-                                   std::chrono::microseconds deadline);
   // Route through a named request class from config.request_classes
-  // (precision + deadline + tenant); throws NotFoundError for unknown
+  // (deadline + tenant); throws NotFoundError for unknown
   // names.
   std::future<ActResult> act_async(Tensor obs,
                                    const std::string& request_class);
-  // The full submission surface: tenant, request class, precision,
-  // deadline, and an explicit request id in one place.
+  // The full submission surface: tenant, request class, deadline, and an
+  // explicit request id in one place.
   std::future<ActResult> act_async(Tensor obs, const ActOptions& options);
   // Blocking convenience around act_async.
   ActResult act(const Tensor& obs);
@@ -232,11 +199,10 @@ class PolicyServer {
   // serve/shed_deadline, serve/shed_total{reason=...} (reason in deadline |
   // overload | tenant_quota | tenant_queue), serve/tenant_shed{tenant=...},
   // serve/batch_failures, serve/padded_rows, serve/bucket_flushes,
-  // serve/quantized_serves, serve/quantized_fallbacks, serve/canary_rollbacks
-  // (+ _p99 / _error_rate splits), serve/canary_promotions.
+  // serve/canary_rollbacks (+ _p99 / _error_rate splits),
+  // serve/canary_promotions.
   // Histograms: serve/latency_seconds, serve/queue_delay_seconds,
-  // serve/batch_size. Gauges: serve/policy_version (per variant:
-  // serve/quantized_policy_version), serve/canary_state,
+  // serve/batch_size. Gauges: serve/policy_version, serve/canary_state,
   // serve/canary_rolled_back, serve/canary_weight.
   MetricRegistry& metrics() { return metrics_; }
 

@@ -49,43 +49,19 @@ int64_t PolicyStore::publish_serialized(const std::vector<uint8_t>& bytes) {
   return publish(deserialize_weights(bytes));
 }
 
-int64_t PolicyStore::publish_quantized(WeightMap weights,
-                                       std::vector<uint8_t> quantized_bytes) {
-  const int64_t version = server_.push(std::move(weights));
-  record_history(version);
-  // A snapshot taken between the push and this store sees the new fp32
-  // weights without the quantized variant — a brief fp32-only window, never
-  // a version mismatch (snapshot() checks the pairing).
-  std::lock_guard<std::mutex> lock(quantized_mutex_);
-  quantized_ = std::make_shared<const std::vector<uint8_t>>(
-      std::move(quantized_bytes));
-  quantized_version_ = version;
-  return version;
-}
-
 PolicySnapshot PolicyStore::snapshot() const {
   PolicySnapshot snap;
   snap.weights = server_.snapshot(&snap.version);
-  std::lock_guard<std::mutex> lock(quantized_mutex_);
-  if (quantized_ != nullptr && quantized_version_ == snap.version) {
-    snap.quantized = quantized_;
-  }
   return snap;
 }
 
 PolicySnapshot PolicyStore::snapshot_version(int64_t version) const {
   PolicySnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(history_mutex_);
-    auto it = history_.find(version);
-    if (it == history_.end()) return snap;  // unknown/evicted: invalid
-    snap.version = version;
-    snap.weights = it->second;
-  }
-  std::lock_guard<std::mutex> lock(quantized_mutex_);
-  if (quantized_ != nullptr && quantized_version_ == version) {
-    snap.quantized = quantized_;
-  }
+  std::lock_guard<std::mutex> lock(history_mutex_);
+  auto it = history_.find(version);
+  if (it == history_.end()) return snap;  // unknown/evicted: invalid
+  snap.version = version;
+  snap.weights = it->second;
   return snap;
 }
 

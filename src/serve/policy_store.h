@@ -24,38 +24,22 @@ using WeightMap = ParameterServer::WeightMap;
 
 // One published policy version. version == 0 (weights null) means nothing
 // has been published yet; serving then runs the engines' initial weights.
-// A publication may additionally carry an int8 variant: the trainer's
-// Agent::export_weights_quantized() bytes (magic "RLGQ"), which serving
-// engines install to answer int8-precision requests. Both variants of one
-// publication share the version number.
 struct PolicySnapshot {
   int64_t version = 0;
   std::shared_ptr<const WeightMap> weights;
-  // Null when this version published no quantized variant.
-  std::shared_ptr<const std::vector<uint8_t>> quantized;
   bool valid() const { return weights != nullptr; }
-  bool has_quantized() const { return quantized != nullptr; }
 };
 
 class PolicyStore {
  public:
-  // Publish a new snapshot; returns its version (1, 2, ...). Any quantized
-  // variant of an earlier version stops being served (the fp32 weights
-  // moved on; stale int8 weights must not answer for them).
+  // Publish a new snapshot; returns its version (1, 2, ...).
   int64_t publish(WeightMap weights);
 
   // Publish from the Agent::export_weights() wire format — the trainer may
   // live in another process and ship bytes instead of tensors.
   int64_t publish_serialized(const std::vector<uint8_t>& bytes);
 
-  // Publish fp32 weights together with their int8 variant (the trainer's
-  // export_weights_quantized() bytes); both carry the returned version.
-  int64_t publish_quantized(WeightMap weights,
-                            std::vector<uint8_t> quantized_bytes);
-
-  // Atomic (version, weights[, quantized]) of the newest publication. The
-  // quantized payload is only attached when it belongs to exactly the
-  // returned version.
+  // Atomic (version, weights) of the newest publication.
   PolicySnapshot snapshot() const;
 
   // A specific published version, for canary routing: while a rollout is in
@@ -63,7 +47,6 @@ class PolicyStore {
   // though a newer candidate has been published. Versions come from a
   // bounded history (the newest `history_capacity` publications, default
   // 8); an unknown or evicted version returns an invalid snapshot.
-  // Quantized variants attach only to the version they were published with.
   PolicySnapshot snapshot_version(int64_t version) const;
 
   // Resize the version history (>= 1); evicts oldest beyond the new bound.
@@ -82,9 +65,6 @@ class PolicyStore {
   void record_history(int64_t version);
 
   ParameterServer server_;
-  mutable std::mutex quantized_mutex_;
-  std::shared_ptr<const std::vector<uint8_t>> quantized_;
-  int64_t quantized_version_ = 0;  // version quantized_ belongs to
 
   // Bounded version -> weights history backing snapshot_version(). Entries
   // share the immutable maps the ParameterServer published — history costs

@@ -13,7 +13,6 @@ enum class DType : uint8_t {
   kInt32 = 1,
   kUInt8 = 2,
   kBool = 3,
-  kInt8 = 4,
 };
 
 inline size_t dtype_size(DType dtype) {
@@ -22,7 +21,6 @@ inline size_t dtype_size(DType dtype) {
     case DType::kInt32: return 4;
     case DType::kUInt8: return 1;
     case DType::kBool: return 1;
-    case DType::kInt8: return 1;
   }
   throw ValueError("unknown dtype");
 }
@@ -33,7 +31,6 @@ inline const char* dtype_name(DType dtype) {
     case DType::kInt32: return "int32";
     case DType::kUInt8: return "uint8";
     case DType::kBool: return "bool";
-    case DType::kInt8: return "int8";
   }
   return "?";
 }
@@ -43,7 +40,6 @@ inline DType dtype_from_name(const std::string& name) {
   if (name == "int32" || name == "int") return DType::kInt32;
   if (name == "uint8") return DType::kUInt8;
   if (name == "bool") return DType::kBool;
-  if (name == "int8") return DType::kInt8;
   throw ValueError("unknown dtype name: " + name);
 }
 
@@ -65,10 +61,6 @@ struct DTypeOf<uint8_t> {
 template <>
 struct DTypeOf<bool> {
   static constexpr DType value = DType::kBool;
-};
-template <>
-struct DTypeOf<int8_t> {
-  static constexpr DType value = DType::kInt8;
 };
 
 }  // namespace rlgraph

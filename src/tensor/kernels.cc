@@ -1214,85 +1214,6 @@ Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
   return out;
 }
 
-Tensor quantize_linear(const Tensor& a, float scale) {
-  check_dtype(a, DType::kFloat32, "quantize_linear");
-  RLG_REQUIRE(std::isfinite(scale) && scale > 0.0f,
-              "quantize_linear: scale must be finite and positive, got "
-                  << scale);
-  Tensor out(DType::kInt8, a.shape());
-  const float* pa = a.data<float>();
-  int8_t* po = out.mutable_data<int8_t>();
-  shard_range(kCheapGrain, a.num_elements(),
-              [pa, po, scale](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  float q = std::round(pa[i] / scale);
-                  if (q > 127.0f) q = 127.0f;
-                  if (q < -127.0f) q = -127.0f;
-                  po[i] = static_cast<int8_t>(q);
-                }
-              });
-  return out;
-}
-
-Tensor dequantize_linear(const Tensor& a, float scale) {
-  check_dtype(a, DType::kInt8, "dequantize_linear");
-  RLG_REQUIRE(std::isfinite(scale) && scale > 0.0f,
-              "dequantize_linear: scale must be finite and positive, got "
-                  << scale);
-  Tensor out(DType::kFloat32, a.shape());
-  const int8_t* pa = a.data<int8_t>();
-  float* po = out.mutable_data<float>();
-  shard_range(kCheapGrain, a.num_elements(),
-              [pa, po, scale](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  po[i] = static_cast<float>(pa[i]) * scale;
-                }
-              });
-  return out;
-}
-
-Tensor matmul_int8(const Tensor& a, const Tensor& b, float rescale) {
-  check_dtype(a, DType::kInt8, "matmul_int8");
-  check_dtype(b, DType::kInt8, "matmul_int8");
-  RLG_REQUIRE(a.shape().rank() == 2 && b.shape().rank() == 2,
-              "matmul_int8 requires rank-2 operands, got "
-                  << a.shape().to_string() << " x " << b.shape().to_string());
-  int64_t m = a.shape().dim(0), k = a.shape().dim(1);
-  int64_t k2 = b.shape().dim(0), n = b.shape().dim(1);
-  RLG_REQUIRE(k == k2,
-              "matmul_int8 inner dims mismatch: " << k << " vs " << k2);
-  Tensor out(DType::kFloat32, Shape{m, n});
-  const int8_t* pa = a.data<int8_t>();
-  const int8_t* pb = b.data<int8_t>();
-  float* po = out.mutable_data<float>();
-  // Integer accumulation is exact and associative, so sharding only needs
-  // disjoint output rows; each row accumulates into an int32 scratch vector
-  // and converts once at the end (single rounding step per element).
-  shard_range(rows_grain(2 * k * n), m,
-              [pa, pb, po, k, n, rescale](int64_t r0, int64_t r1) {
-                std::vector<int32_t> acc(static_cast<size_t>(n));
-                for (int64_t i = r0; i < r1; ++i) {
-                  std::fill(acc.begin(), acc.end(), 0);
-                  const int8_t* arow = pa + i * k;
-                  for (int64_t kk = 0; kk < k; ++kk) {
-                    int32_t av = arow[kk];
-                    if (av == 0) continue;
-                    const int8_t* brow = pb + kk * n;
-                    for (int64_t j = 0; j < n; ++j) {
-                      acc[static_cast<size_t>(j)] +=
-                          av * static_cast<int32_t>(brow[j]);
-                    }
-                  }
-                  float* orow = po + i * n;
-                  for (int64_t j = 0; j < n; ++j) {
-                    orow[j] = static_cast<float>(acc[static_cast<size_t>(j)]) *
-                              rescale;
-                  }
-                }
-              });
-  return out;
-}
-
 Tensor cast(const Tensor& a, DType target) { return a.cast(target); }
 
 }  // namespace kernels

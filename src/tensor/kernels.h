@@ -132,15 +132,6 @@ struct EwiseLink {
 Tensor fused_elementwise(const Tensor& x, const std::vector<Tensor>& extras,
                          const std::vector<EwiseLink>& links);
 
-// --- Int8 quantization -------------------------------------------------------
-// Symmetric per-tensor linear quantization:
-//   q = clamp(round(x / scale), -127, 127) as int8.
-Tensor quantize_linear(const Tensor& a, float scale);
-Tensor dequantize_linear(const Tensor& a, float scale);
-// a: int8 [M, K], b: int8 [K, N] -> float32 [M, N]. Accumulates in int32 and
-// rescales by `rescale` (= scale_a * scale_b) at the output.
-Tensor matmul_int8(const Tensor& a, const Tensor& b, float rescale);
-
 // --- Misc --------------------------------------------------------------------
 Tensor cast(const Tensor& a, DType target);
 

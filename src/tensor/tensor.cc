@@ -106,7 +106,6 @@ double Tensor::at_flat(int64_t i) const {
     case DType::kInt32: return static_cast<const int32_t*>(buffer_.get())[i];
     case DType::kUInt8: return static_cast<const uint8_t*>(buffer_.get())[i];
     case DType::kBool: return static_cast<const uint8_t*>(buffer_.get())[i];
-    case DType::kInt8: return static_cast<const int8_t*>(buffer_.get())[i];
   }
   throw ValueError("unknown dtype");
 }
@@ -125,9 +124,6 @@ void Tensor::set_flat(int64_t i, double v) {
       return;
     case DType::kBool:
       static_cast<uint8_t*>(buffer_.get())[i] = v != 0.0 ? 1 : 0;
-      return;
-    case DType::kInt8:
-      static_cast<int8_t*>(buffer_.get())[i] = static_cast<int8_t>(v);
       return;
   }
   throw ValueError("unknown dtype");

@@ -14,7 +14,7 @@ void write_tensor(ByteWriter* writer, const Tensor& tensor) {
 
 Tensor read_tensor(ByteReader* reader) {
   const uint8_t dtype_byte = reader->read_u8();
-  if (dtype_byte > static_cast<uint8_t>(DType::kInt8)) {
+  if (dtype_byte > static_cast<uint8_t>(DType::kBool)) {
     throw SerializationError("tensor stream has invalid dtype tag " +
                              std::to_string(dtype_byte));
   }

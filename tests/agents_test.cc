@@ -61,39 +61,6 @@ TEST(DQNAgentTest, ActReturnsValidActions) {
   EXPECT_EQ(agent.last_preprocessed().shape(), (Shape{1, 16}));
 }
 
-TEST(DQNAgentTest, QuantizedGreedyActionsAgreeWithFp32) {
-  // Post-training quantization acceptance: int8 greedy actions agree with
-  // the fp32 plan on >= 99% of random observations. Fully deterministic
-  // (fixed seeds, fixed kernels), so the measured agreement is stable.
-  SpacePtr obs_space = FloatBox(Shape{8});
-  DQNAgent agent(dqn_config(), obs_space, IntBox(4));
-  agent.build();
-  Rng rng(17);
-  auto random_batch = [&](int64_t n) {
-    std::vector<float> v(static_cast<size_t>(n * 8));
-    for (float& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-    return Tensor::from_floats(Shape{n, 8}, v);
-  };
-  std::vector<Tensor> calibration;
-  for (int i = 0; i < 4; ++i) calibration.push_back(random_batch(16));
-  // Two hidden dense layers + the Q head(s): several MatMuls quantize.
-  ASSERT_GE(agent.enable_quantized_actions(calibration), 2);
-
-  int agree = 0, total = 0;
-  for (int b = 0; b < 8; ++b) {
-    Tensor obs = random_batch(64);
-    std::vector<int32_t> fp32 = agent.get_actions(obs, false).to_ints();
-    std::vector<int32_t> int8 = agent.get_actions_quantized(obs).to_ints();
-    ASSERT_EQ(fp32.size(), int8.size());
-    for (size_t i = 0; i < fp32.size(); ++i) {
-      ++total;
-      if (fp32[i] == int8[i]) ++agree;
-    }
-  }
-  EXPECT_GE(agree * 100, total * 99) << "agreement " << agree << "/" << total;
-  std::printf("int8 greedy agreement: %d/%d\n", agree, total);
-}
-
 TEST(DQNAgentTest, UpdateWaitsForWarmup) {
   GridWorld env(GridWorld::Config{});
   DQNAgent agent(dqn_config(), env.state_space(), env.action_space());

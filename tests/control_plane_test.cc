@@ -101,13 +101,10 @@ TEST(BatcherControlPlaneTest, TenantQuotaShedsAreTenantScoped) {
   bcfg.max_batch_size = 8;
   DynamicBatcher batcher(bcfg, &metrics, &tenants);
 
-  auto f1 = batcher.submit(obs1(1), serve::kNoDeadline,
-                           serve::Precision::kFp32, "limited", 1);
-  auto f2 = batcher.submit(obs1(2), serve::kNoDeadline,
-                           serve::Precision::kFp32, "limited", 2);
+  auto f1 = batcher.submit(obs1(1), serve::kNoDeadline, "limited", 1);
+  auto f2 = batcher.submit(obs1(2), serve::kNoDeadline, "limited", 2);
   try {
-    (void)batcher.submit(obs1(3), serve::kNoDeadline,
-                         serve::Precision::kFp32, "limited", 3);
+    (void)batcher.submit(obs1(3), serve::kNoDeadline, "limited", 3);
     FAIL() << "3rd submit at one instant should exceed burst 2";
   } catch (const OverloadedError& e) {
     EXPECT_EQ(e.scope(), OverloadedError::Scope::kTenant);
@@ -117,8 +114,7 @@ TEST(BatcherControlPlaneTest, TenantQuotaShedsAreTenantScoped) {
   // The shed is split by reason and by tenant; other tenants are untouched.
   EXPECT_EQ(metrics.counter("serve/shed_total{reason=tenant_quota}"), 1);
   EXPECT_EQ(metrics.counter("serve/tenant_shed{tenant=limited}"), 1);
-  auto f3 = batcher.submit(obs1(4), serve::kNoDeadline,
-                           serve::Precision::kFp32, "other", 4);
+  auto f3 = batcher.submit(obs1(4), serve::kNoDeadline, "other", 4);
   EXPECT_EQ(batcher.pending(), 3u);
   batcher.close();
   batcher.shed_all("test over");
@@ -138,11 +134,10 @@ TEST(BatcherControlPlaneTest, TenantQueueBoundCarriesDepthAndCapacity) {
   std::vector<std::future<ActResult>> futs;
   for (int i = 0; i < 3; ++i) {
     futs.push_back(batcher.submit(obs1(float(i)), serve::kNoDeadline,
-                                  serve::Precision::kFp32, "spammer", 0));
+                                  "spammer", 0));
   }
   try {
-    (void)batcher.submit(obs1(9), serve::kNoDeadline,
-                         serve::Precision::kFp32, "spammer", 0);
+    (void)batcher.submit(obs1(9), serve::kNoDeadline, "spammer", 0);
     FAIL() << "4th queued request should exceed the per-tenant bound";
   } catch (const OverloadedError& e) {
     EXPECT_EQ(e.scope(), OverloadedError::Scope::kTenant);
@@ -152,8 +147,7 @@ TEST(BatcherControlPlaneTest, TenantQueueBoundCarriesDepthAndCapacity) {
   }
   EXPECT_EQ(metrics.counter("serve/shed_total{reason=tenant_queue}"), 1);
   // Another tenant still has the global queue to itself.
-  futs.push_back(batcher.submit(obs1(5), serve::kNoDeadline,
-                                serve::Precision::kFp32, "quiet", 0));
+  futs.push_back(batcher.submit(obs1(5), serve::kNoDeadline, "quiet", 0));
   batcher.close();
   batcher.shed_all("test over");
 }
@@ -192,13 +186,13 @@ TEST(BatcherControlPlaneTest, DeficitRoundRobinSharesBatchUnderFlood) {
   std::vector<std::future<ActResult>> futs;
   for (int i = 0; i < 30; ++i) {
     futs.push_back(batcher.submit(obs1(float(i)), serve::kNoDeadline,
-                                  serve::Precision::kFp32, "hog", 0));
+                                  "hog", 0));
   }
   for (int i = 0; i < 3; ++i) {
     futs.push_back(batcher.submit(obs1(100.0f + i), serve::kNoDeadline,
-                                  serve::Precision::kFp32, "a", 0));
+                                  "a", 0));
     futs.push_back(batcher.submit(obs1(200.0f + i), serve::kNoDeadline,
-                                  serve::Precision::kFp32, "b", 0));
+                                  "b", 0));
   }
 
   std::vector<ActRequest> batch = batcher.next_batch();
@@ -225,9 +219,9 @@ TEST(BatcherControlPlaneTest, DrrWeightBuysProportionalBatchShare) {
   std::vector<std::future<ActResult>> futs;
   for (int i = 0; i < 20; ++i) {
     futs.push_back(batcher.submit(obs1(float(i)), serve::kNoDeadline,
-                                  serve::Precision::kFp32, "heavy", 0));
+                                  "heavy", 0));
     futs.push_back(batcher.submit(obs1(float(i)), serve::kNoDeadline,
-                                  serve::Precision::kFp32, "light", 0));
+                                  "light", 0));
   }
   std::vector<ActRequest> batch = batcher.next_batch();
   ASSERT_EQ(batch.size(), 8u);

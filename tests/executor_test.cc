@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
+#include <iterator>
 
 #include "components/layers.h"
 #include "core/graph_executor.h"
 #include "tensor/kernels.h"
+#include "tensor/tensor_io.h"
 
 namespace rlgraph {
 namespace {
@@ -148,12 +151,77 @@ TEST(GraphExecutorTest, CheckpointRoundTrip) {
   EXPECT_FALSE(b.execute("forward", {x})[0].all_close(y_orig, 1e-5));
   b.import_variables(bytes);
   EXPECT_TRUE(b.execute("forward", {x})[0].all_close(y_orig, 1e-6));
+  EXPECT_EQ(b.export_variables(), bytes);
 }
 
 TEST(GraphExecutorTest, CheckpointRejectsGarbage) {
   GraphExecutor exec(make_mlp_root(), mlp_apis());
   exec.build();
   EXPECT_THROW(exec.import_variables({1, 2, 3, 4, 5, 6, 7, 8}), Error);
+
+  // Crafted checkpoints: a valid first entry that zeroes one variable,
+  // followed by `bad_entry`. Every one must throw SerializationError and
+  // leave all variables untouched (the valid first entry is not applied).
+  const std::map<std::string, Tensor> before = exec.get_weights();
+  const std::string first = before.begin()->first;
+  const std::string second = std::next(before.begin())->first;
+  auto checkpoint = [&](const std::function<void(ByteWriter&)>& bad_entry,
+                        uint32_t magic = 0x524C4756, uint32_t version = 1) {
+    ByteWriter w;
+    w.write_u32(magic);
+    w.write_u32(version);
+    w.write_u32(2);
+    const Tensor& t = before.at(first);
+    w.write_string(first);
+    write_tensor(&w, Tensor::zeros(t.dtype(), t.shape()));
+    bad_entry(w);
+    return w.take();
+  };
+  auto raw_entry = [](const std::string& name, uint8_t tag,
+                      const std::vector<int64_t>& dims, uint64_t nbytes) {
+    return [=](ByteWriter& w) {
+      w.write_string(name);
+      w.write_u8(tag);
+      w.write_u32(static_cast<uint32_t>(dims.size()));
+      for (int64_t d : dims) w.write_i64(d);
+      w.write_u64(nbytes);
+      std::vector<uint8_t> payload(16, 0);
+      w.write_bytes(payload.data(), payload.size());
+    };
+  };
+  const uint8_t f32 = static_cast<uint8_t>(DType::kFloat32);
+  const Tensor& st = before.at(second);
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> cases = {
+      {"corrupt dims",
+       checkpoint(raw_entry(second, f32, {int64_t{1} << 30, int64_t{1} << 20},
+                            16))},
+      {"bad dtype tag", checkpoint(raw_entry(second, 9, {4}, 16))},
+      {"unknown variable",
+       checkpoint([](ByteWriter& w) {
+         w.write_string("root/no_such_variable");
+         write_tensor(&w, Tensor::zeros(DType::kFloat32, Shape{4}));
+       })},
+      {"shape mismatch",
+       checkpoint([&](ByteWriter& w) {
+         w.write_string(second);
+         write_tensor(&w, Tensor::zeros(st.dtype(),
+                                        Shape{st.num_elements() + 1}));
+       })},
+      {"trailing bytes",
+       checkpoint([&](ByteWriter& w) {
+         w.write_string(second);
+         write_tensor(&w, st);
+         w.write_u8(0);
+       })},
+      {"bad magic", checkpoint([](ByteWriter&) {}, 0xDEADBEEF)},
+      {"bad version", checkpoint([](ByteWriter&) {}, 0x524C4756, 999)},
+  };
+  for (const auto& [what, bytes] : cases) {
+    EXPECT_THROW(exec.import_variables(bytes), SerializationError) << what;
+    for (const auto& [name, value] : exec.get_weights()) {
+      EXPECT_TRUE(value.equals(before.at(name))) << what << ": " << name;
+    }
+  }
 }
 
 TEST(GraphExecutorTest, SeedsMakeStochasticOpsReproducible) {

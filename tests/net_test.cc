@@ -537,6 +537,17 @@ TEST(TensorIoTest, RoundTripAndValidation) {
   bytes[0] = 0xFF;
   ByteReader r2(bytes);
   EXPECT_THROW(read_tensor(&r2), SerializationError);
+
+  // Tag 4 is one past the last dtype (bool = 3): rejected, not decoded.
+  ByteWriter w3;
+  w3.write_u8(4);
+  w3.write_u32(1);
+  w3.write_i64(4);
+  w3.write_u64(4);
+  const uint8_t payload[4] = {1, 2, 3, 4};
+  w3.write_bytes(payload, sizeof(payload));
+  ByteReader r3(w3.take());
+  EXPECT_THROW(read_tensor(&r3), SerializationError);
 }
 
 TEST(TensorIoTest, CorruptDimsFailBeforeAllocation) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <limits>
 #include <memory>
 
 #include "agents/dqn_agent.h"
@@ -139,93 +138,6 @@ TEST(WeightSnapshotTest, IntactSnapshotStillRoundTrips) {
   for (const auto& [name, tensor] : want) {
     EXPECT_TRUE(got[name].equals(tensor)) << name;
   }
-}
-
-// --- RLGQ quantized snapshots -----------------------------------------------
-
-// Patch a little-endian f32 at a byte offset.
-void poke_f32(std::vector<uint8_t>& bytes, size_t offset, float v) {
-  std::memcpy(bytes.data() + offset, &v, sizeof(v));
-}
-
-std::vector<Tensor> calibration_states(int64_t obs_dim) {
-  Rng rng(31);
-  std::vector<Tensor> states;
-  for (int b = 0; b < 4; ++b) {
-    std::vector<float> v(static_cast<size_t>(2 * obs_dim));
-    for (float& x : v) x = static_cast<float>(rng.uniform(-1.5, 1.5));
-    states.push_back(Tensor::from_floats(Shape{2, obs_dim}, v));
-  }
-  return states;
-}
-
-TEST(QuantizedSnapshotTest, RoundTripsBitExact) {
-  auto source = make_built_agent();
-  ASSERT_GT(source->enable_quantized_actions(calibration_states(4)), 0);
-  std::vector<uint8_t> bytes = source->export_weights_quantized();
-
-  auto restored = make_built_agent();
-  ASSERT_FALSE(restored->quantized_actions_enabled());
-  restored->import_weights_quantized(bytes);
-  EXPECT_TRUE(restored->quantized_actions_enabled());
-
-  // Identical int8 weights + scales: the restored agent's quantized plan
-  // acts identically, and re-exporting reproduces the exact payload.
-  Rng rng(55);
-  std::vector<float> v(16 * 4);
-  for (float& x : v) x = static_cast<float>(rng.uniform(-1.5, 1.5));
-  Tensor obs = Tensor::from_floats(Shape{16, 4}, v);
-  EXPECT_TRUE(source->get_actions_quantized(obs).equals(
-      restored->get_actions_quantized(obs)));
-  EXPECT_EQ(restored->export_weights_quantized(), bytes);
-}
-
-TEST(QuantizedSnapshotTest, CorruptScaleThrowsTyped) {
-  auto source = make_built_agent();
-  ASSERT_GT(source->enable_quantized_actions(calibration_states(4)), 0);
-  std::vector<uint8_t> intact = source->export_weights_quantized();
-
-  // First weight entry: magic(4) + version(4) + wcount(4) + name_len(4) +
-  // name, then the f32 scale.
-  uint32_t name_len = 0;
-  std::memcpy(&name_len, intact.data() + 12, sizeof(name_len));
-  const size_t first_scale = 16 + name_len;
-  // The payload ends with the last activation-scale entry's f32.
-  const size_t last_scale = intact.size() - 4;
-  for (float bad : {0.0f, -1.0f, std::numeric_limits<float>::quiet_NaN(),
-                    std::numeric_limits<float>::infinity()}) {
-    for (size_t offset : {first_scale, last_scale}) {
-      std::vector<uint8_t> bytes = intact;
-      poke_f32(bytes, offset, bad);
-      auto victim = make_built_agent();
-      EXPECT_THROW(victim->import_weights_quantized(bytes),
-                   SerializationError)
-          << "scale " << bad << " at offset " << offset;
-      // The rejected snapshot must not have installed a quantized plan.
-      EXPECT_FALSE(victim->quantized_actions_enabled());
-    }
-  }
-}
-
-TEST(QuantizedSnapshotTest, TruncationAndWrongMagicThrowTyped) {
-  auto source = make_built_agent();
-  ASSERT_GT(source->enable_quantized_actions(calibration_states(4)), 0);
-  std::vector<uint8_t> bytes = source->export_weights_quantized();
-  for (size_t keep : {size_t{0}, size_t{3}, size_t{10}, size_t{21},
-                      bytes.size() / 2, bytes.size() - 1}) {
-    std::vector<uint8_t> cut(bytes.begin(),
-                             bytes.begin() + static_cast<long>(keep));
-    auto victim = make_built_agent();
-    EXPECT_THROW(victim->import_weights_quantized(cut), SerializationError)
-        << "cut at " << keep << " bytes";
-  }
-  std::vector<uint8_t> wrong = bytes;
-  poke_u32(wrong, 0, 0xDEADBEEF);
-  auto victim = make_built_agent();
-  EXPECT_THROW(victim->import_weights_quantized(wrong), SerializationError);
-  poke_u32(wrong, 0, 0x524C4751);  // restore magic, break the version
-  poke_u32(wrong, 4, 999);
-  EXPECT_THROW(victim->import_weights_quantized(wrong), SerializationError);
 }
 
 }  // namespace
