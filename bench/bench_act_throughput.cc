@@ -36,12 +36,11 @@ struct Row {
   int64_t fused_dispatches = 0;
 };
 
-Row run_agent(const std::string& backend, bool fast_path, bool specialize,
-              int64_t num_envs, double seconds) {
+Row run_agent(const std::string& backend, bool fast_path, int64_t num_envs,
+              double seconds) {
   Json cfg = bench::pong_agent_config();
   cfg["backend"] = Json(backend);
   cfg["fast_path"] = Json(fast_path);
-  cfg["specialize_shapes"] = Json(specialize);
   VectorEnv env(bench::pong_env_spec(), num_envs, 7);
   DQNAgent agent(cfg, env.state_space(), env.action_space());
   agent.build();
@@ -64,7 +63,7 @@ Row run_agent(const std::string& backend, bool fast_path, bool specialize,
   }
   std::string name =
       backend == "static"
-          ? (specialize ? "TF RLgraph (specialized)" : "TF RLgraph (dynamic)")
+          ? "TF RLgraph"
           : (fast_path ? "PT RLgraph (fast-path)" : "PT RLgraph (dispatch)");
   Row row{name, num_envs, frames / watch.elapsed_seconds(),
           agent.executor().execution_calls() - calls_before};
@@ -114,10 +113,9 @@ int main(int argc, char** argv) {
               "plan compiles/hits/evict/spec");
   for (int64_t envs : env_counts) {
     std::vector<Row> rows{
-        run_agent("static", true, /*specialize=*/true, envs, seconds),
-        run_agent("static", true, /*specialize=*/false, envs, seconds),
-        run_agent("define_by_run", true, /*specialize=*/true, envs, seconds),
-        run_agent("define_by_run", false, /*specialize=*/true, envs, seconds),
+        run_agent("static", true, envs, seconds),
+        run_agent("define_by_run", true, envs, seconds),
+        run_agent("define_by_run", false, envs, seconds),
         run_hand_tuned(envs, seconds),
     };
     for (const Row& r : rows) {

@@ -2,7 +2,7 @@
 // saturation sweep.
 //
 // Part 1 (reference points): direct in-process get_actions() (no serving
-// tier, specialized and dynamic plans) and the closed-loop batching speedup
+// tier) and the closed-loop batching speedup
 // — the same PolicyServer at max_batch_size=1 (every request pays its own
 // dispatch round-trip) vs 64 (dispatch and forward-pass overhead amortize
 // across the batch).
@@ -67,17 +67,14 @@ std::vector<Tensor> make_observations(int n) {
   return obs;
 }
 
-// One-request-at-a-time baseline: batch-1 greedy act in a closed loop.
-// `specialize` toggles shape-specialized (static arena) plans against the
-// dynamic pool-allocating baseline. The greedy act plan is fetch-only, so
-// pattern fusion engages on it; `fused_dispatches` (out-param) counts the
-// composite-kernel steps it dispatched instead of unfused op chains.
-double single_request_qps(double seconds, bool specialize,
-                          int64_t* fused_dispatches = nullptr) {
+// One-request-at-a-time baseline: batch-1 greedy act in a closed loop on
+// the shape-specialized (static arena) plan. The greedy act plan is
+// fetch-only, so pattern fusion engages on it; `fused_dispatches`
+// (out-param) counts the composite-kernel steps it dispatched instead of
+// unfused op chains.
+double single_request_qps(double seconds, int64_t* fused_dispatches) {
   SpacePtr obs_space = FloatBox(Shape{kObsDim});
-  Json cfg = serve_agent_config();
-  cfg["specialize_shapes"] = Json(specialize);
-  DQNAgent agent(cfg, obs_space, IntBox(kNumActions));
+  DQNAgent agent(serve_agent_config(), obs_space, IntBox(kNumActions));
   agent.build();
   std::vector<Tensor> obs = make_observations(64);
   for (int i = 0; i < 32; ++i) {  // warmup: compile + cache the act plan
@@ -90,9 +87,7 @@ double single_request_qps(double seconds, bool specialize,
     (void)agent.get_actions(o.reshaped(Shape{1, kObsDim}), false);
     ++requests;
   }
-  if (fused_dispatches != nullptr) {
-    *fused_dispatches = agent.executor().fused_dispatches();
-  }
+  *fused_dispatches = agent.executor().fused_dispatches();
   return static_cast<double>(requests) / watch.elapsed_seconds();
 }
 
@@ -108,12 +103,6 @@ serve::PolicyServerConfig server_config(int64_t max_batch) {
   return cfg;
 }
 
-Json agent_config_specialized() {
-  Json agent_cfg = serve_agent_config();
-  agent_cfg["specialize_shapes"] = Json(true);
-  return agent_cfg;
-}
-
 struct ServedResult {
   double qps = 0;
   double mean_batch = 0;
@@ -126,7 +115,7 @@ struct ServedResult {
 ServedResult served_qps(int clients, int64_t max_batch, double seconds) {
   SpacePtr obs_space = FloatBox(Shape{kObsDim});
   serve::PolicyServerConfig cfg = server_config(max_batch);
-  serve::PolicyServer server(agent_config_specialized(), obs_space,
+  serve::PolicyServer server(serve_agent_config(), obs_space,
                              IntBox(kNumActions), cfg);
   server.start();
 
@@ -198,21 +187,13 @@ int main(int argc, char** argv) {
 
   bench::print_header("serving throughput: batching speedup (closed loop)");
   int64_t fused_dispatches = 0;
-  const double direct =
-      single_request_qps(seconds, /*specialize=*/true, &fused_dispatches);
-  const double direct_dynamic =
-      single_request_qps(seconds, /*specialize=*/false);
-  std::printf(
-      "%-28s %10.0f req/s  fused %lld  (no serving tier, specialized "
-      "plans)\n",
-      "direct get_actions()", direct,
-      static_cast<long long>(fused_dispatches));
-  std::printf("%-28s %10.0f req/s  (no serving tier, dynamic plans)\n",
-              "direct get_actions()", direct_dynamic);
+  const double direct = single_request_qps(seconds, &fused_dispatches);
+  std::printf("%-28s %10.0f req/s  fused %lld  (no serving tier)\n",
+              "direct get_actions()", direct,
+              static_cast<long long>(fused_dispatches));
   reporter.record("direct_call_qps", direct, "req/s");
   reporter.record("direct_fused_dispatches",
                   static_cast<double>(fused_dispatches), "dispatches");
-  reporter.record("direct_call_qps_dynamic", direct_dynamic, "req/s");
 
   const int clients = 16;
   ServedResult base = served_qps(clients, /*max_batch=*/1, seconds);
@@ -248,7 +229,7 @@ int main(int argc, char** argv) {
   // rides the specialized zero-alloc path.
   std::vector<serve::AgentServingEngine*> engines;
   std::mutex engines_mu;
-  Json agent_cfg = agent_config_specialized();
+  Json agent_cfg = serve_agent_config();
   serve::PolicyServerConfig sweep_cfg =
       server_config(/*max_batch=*/64);
   // Bound queue wait so past-saturation requests time out instead of

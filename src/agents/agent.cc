@@ -143,7 +143,6 @@ ExecutorOptions executor_options_from_config(const Json& config) {
   opts.seed = static_cast<uint64_t>(config.get_int("seed", 1234));
   opts.optimize = config.get_bool("optimize_graph", true);
   opts.fast_path = config.get_bool("fast_path", true);
-  opts.specialize_shapes = config.get_bool("specialize_shapes", true);
   opts.default_device = config.get_string("device", "/cpu:0");
   opts.profiling = config.get_bool("profiling", false);
   // Fine-grained per-component device control (paper §3.4):

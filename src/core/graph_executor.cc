@@ -166,44 +166,21 @@ std::vector<Tensor> GraphExecutor::execute(ApiHandle handle,
 
 std::vector<Tensor> GraphExecutor::execute_entry(
     ApiEntry& entry, const std::vector<Tensor>& inputs) {
-  if (entry.prepared) {
-    // Route batchable APIs through a plan specialized on the concrete feed
-    // shapes: same fetches, but with a static memory plan for this exact
-    // batch size. Non-batchable APIs (fixed signatures, no feeds) gain
-    // nothing and keep the dynamic plan.
-    if (options_.specialize_shapes && !inputs.empty() &&
-        entry.prepared->plan().feeds_batchable()) {
-      return execute_specialized(entry, inputs);
-    }
+  if (!entry.prepared) return execute_imperative(entry, inputs);
+  // Non-batchable APIs (fixed signatures, no feeds) gain nothing from
+  // specialization and keep the dynamic plan.
+  if (inputs.empty() || !entry.prepared->plan().feeds_batchable()) {
     return entry.prepared->run(inputs);
   }
-  return execute_imperative(entry, inputs);
-}
-
-std::vector<Tensor> GraphExecutor::execute_specialized(
-    ApiEntry& entry, const std::vector<Tensor>& inputs) {
-  std::vector<int64_t> key;
-  key.reserve(inputs.size() * 3);
-  for (const Tensor& t : inputs) {
-    key.push_back(t.shape().rank());
-    for (int d = 0; d < t.shape().rank(); ++d) key.push_back(t.shape().dim(d));
-  }
-  auto it = entry.specialized.find(key);
-  if (it != entry.specialized.end()) return it->second->run(inputs);
-
+  // Batchable APIs run a plan specialized on the concrete feed shapes (a
+  // static memory plan for this exact batch size). The session's LRU is the
+  // only plan cache: one lookup per call, one compile per new signature.
   std::vector<Shape> shapes;
   shapes.reserve(inputs.size());
   for (const Tensor& t : inputs) shapes.push_back(t.shape());
-  std::shared_ptr<Session::PreparedCall> call =
-      session_->prepare_specialized(entry.fetches, entry.feed_nodes, shapes);
-  // Cap the per-API map so an unbucketed caller cycling through arbitrary
-  // batch sizes cannot grow it without bound; overflow signatures still
-  // benefit from the session's own (LRU-bounded) cache.
-  constexpr size_t kMaxSpecializedPerApi = 64;
-  if (entry.specialized.size() < kMaxSpecializedPerApi) {
-    entry.specialized.emplace(std::move(key), call);
-  }
-  return call->run(inputs);
+  return session_
+      ->prepare_specialized(entry.fetches, entry.feed_nodes, shapes)
+      ->run(inputs);
 }
 
 std::vector<Tensor> GraphExecutor::execute_imperative(

@@ -3,8 +3,9 @@
 // and serves execute(api, inputs) requests:
 //
 //  * static backend — every API is compiled to a Session::PreparedCall at
-//    build time (fetches + placeholder feed order resolved once); execute()
-//    hands the positional inputs straight to the compiled plan.
+//    build time (fetches + placeholder feed order resolved once). Batchable
+//    calls run the plan specialized on their concrete feed shapes, looked
+//    up in the session's plan cache; other calls run the build-time plan.
 //  * define-by-run backend — re-dispatches the call chain of graph functions
 //    through the component graph; when edge contraction succeeds, the
 //    contracted program is lowered onto the same compiled-plan layer and
@@ -35,11 +36,6 @@ struct ExecutorOptions {
   bool optimize = true;
   // Attempt fast-path edge contraction for define-by-run dispatch.
   bool fast_path = true;
-  // Static backend: recompile batchable APIs specialized on the concrete
-  // feed shapes seen at execute() time (one cached plan per distinct
-  // signature, LRU-bounded in the session). Specialized plans run with a
-  // static arena plan — no buffer-pool traffic on the serial hot path.
-  bool specialize_shapes = true;
   uint64_t seed = 1234;
   // Probe batch extent used for artificial placeholders in define-by-run
   // builds.
@@ -123,14 +119,9 @@ class GraphExecutor {
     // Static backend: the compiled plan call (fetches + feed order baked).
     std::shared_ptr<Session::PreparedCall> prepared;
     // The API's fetch/feed resolution, kept so specialized plans can be
-    // compiled lazily when concrete shapes arrive.
+    // looked up in (or compiled into) the session cache per call.
     std::vector<Endpoint> fetches;
     std::vector<int> feed_nodes;
-    // Shape-specialized plans seen so far, keyed by the encoded concrete
-    // feed signature (rank then dims per input). Bounded: past the cap new
-    // signatures go through the session cache without an entry here.
-    std::map<std::vector<int64_t>, std::shared_ptr<Session::PreparedCall>>
-        specialized;
     // Define-by-run: the contracted program once a dispatch traced it.
     FastPathProgram fast_path;
     bool traced = false;
@@ -138,8 +129,6 @@ class GraphExecutor {
 
   std::vector<Tensor> execute_entry(ApiEntry& entry,
                                     const std::vector<Tensor>& inputs);
-  std::vector<Tensor> execute_specialized(ApiEntry& entry,
-                                          const std::vector<Tensor>& inputs);
   std::vector<Tensor> execute_imperative(ApiEntry& entry,
                                          const std::vector<Tensor>& inputs);
 

@@ -43,6 +43,53 @@ OpSignature float_unary_sig(const SIC& c) {
   return single(DType::kFloat32, c.input_shapes[0]);
 }
 
+// MatMul output [M, N]; FusedDense shares it.
+OpSignature matmul_sig(const SIC& c) {
+  const Shape& a = c.input_shapes[0];
+  const Shape& b = c.input_shapes[1];
+  RLG_REQUIRE(a.rank() == 2 && b.rank() == 2,
+              c.node->op << " requires rank-2 inputs, got " << a.to_string()
+                         << " x " << b.to_string());
+  if (a.dim(1) != kUnknownDim && b.dim(0) != kUnknownDim) {
+    RLG_REQUIRE(a.dim(1) == b.dim(0), c.node->op << " inner dim mismatch: "
+                                                 << a.to_string() << " x "
+                                                 << b.to_string());
+  }
+  return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
+}
+
+// Conv2D output [B, Ho, Wo, Cout] via the kernels' own conv_dims, so a
+// geometry the kernel would reject (kernel larger than input, cin mismatch)
+// fails at build time. FusedConv2D shares it.
+OpSignature conv2d_sig(const SIC& c) {
+  const Shape& in = c.input_shapes[0];
+  const Shape& f = c.input_shapes[1];
+  RLG_REQUIRE(in.rank() == 4 && f.rank() == 4,
+              c.node->op << " expects NHWC x [kh,kw,cin,cout]");
+  RLG_REQUIRE(in.dim(1) != kUnknownDim && in.dim(2) != kUnknownDim,
+              c.node->op << " spatial dims must be known at build time");
+  kernels::ConvDims d = kernels::conv_dims(
+      in, f, static_cast<int>(attr_int(c.node->attrs, "stride")),
+      attr_bool(c.node->attrs, "same_padding", false));
+  return single(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
+}
+
+// Fused dense/conv ops: the core op's signature plus a rank-1 bias over the
+// output channels.
+OpSignature fused_bias_sig(const SIC& c, OpSignature (*core)(const SIC&)) {
+  RLG_REQUIRE(c.input_shapes.size() == 3, c.node->op << " expects 3 inputs");
+  OpSignature sig = core(c);
+  const Shape& bias = c.input_shapes[2];
+  const Shape& out = sig.shapes[0];
+  RLG_REQUIRE(bias.rank() == 1, c.node->op << " bias must be rank 1");
+  int64_t channels = out.dim(out.rank() - 1);
+  if (bias.dim(0) != kUnknownDim && channels != kUnknownDim) {
+    RLG_REQUIRE(bias.dim(0) == channels,
+                c.node->op << " bias dim mismatch: " << bias.to_string());
+  }
+  return sig;
+}
+
 // Kernel adapters.
 KernelFn unary(Tensor (*fn)(const Tensor&)) {
   return [fn](KernelContext& k) { return std::vector<Tensor>{fn(k.inputs[0])}; };
@@ -216,7 +263,7 @@ void register_math_ops(OpRegistry& r) {
       });
 
   // FusedElementwise: chain of parameter-free float elementwise ops applied
-  // in a single pass (produced by the fusion passes). The "ops" attr is a
+  // in a single pass (produced by plan pattern fusion). The "ops" attr is a
   // comma-separated list; each entry is either a unary op name ("Relu") or a
   // binary op with a side marker ("Add:l" = running chain value is the LEFT
   // operand, "Add:r" = right). Binary entries consume the node's extra
@@ -261,49 +308,14 @@ void register_math_ops(OpRegistry& r) {
 }
 
 void register_linalg_ops(OpRegistry& r) {
-  reg(
-      r, "MatMul",
-      [](const SIC& c) {
-        const Shape& a = c.input_shapes[0];
-        const Shape& b = c.input_shapes[1];
-        RLG_REQUIRE(a.rank() == 2 && b.rank() == 2,
-                    "MatMul requires rank-2 inputs, got " << a.to_string()
-                                                          << " x "
-                                                          << b.to_string());
-        if (a.dim(1) != kUnknownDim && b.dim(0) != kUnknownDim) {
-          RLG_REQUIRE(a.dim(1) == b.dim(0), "MatMul inner dim mismatch: "
-                                                << a.to_string() << " x "
-                                                << b.to_string());
-        }
-        return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
-      },
-      binary(&kernels::matmul));
+  reg(r, "MatMul", matmul_sig, binary(&kernels::matmul));
 
   // FusedDense: act(x @ w + bias), one dispatch. Produced by the plan-level
   // pattern-fusion pass; has no gradient rule by design (fusion only runs on
   // inference plans).
   reg(
       r, "FusedDense",
-      [](const SIC& c) {
-        RLG_REQUIRE(c.input_shapes.size() == 3, "FusedDense expects 3 inputs");
-        const Shape& a = c.input_shapes[0];
-        const Shape& b = c.input_shapes[1];
-        const Shape& bias = c.input_shapes[2];
-        RLG_REQUIRE(a.rank() == 2 && b.rank() == 2,
-                    "FusedDense requires rank-2 x/w, got "
-                        << a.to_string() << " x " << b.to_string());
-        if (a.dim(1) != kUnknownDim && b.dim(0) != kUnknownDim) {
-          RLG_REQUIRE(a.dim(1) == b.dim(0), "FusedDense inner dim mismatch: "
-                                                << a.to_string() << " x "
-                                                << b.to_string());
-        }
-        RLG_REQUIRE(bias.rank() == 1, "FusedDense bias must be rank 1");
-        if (bias.dim(0) != kUnknownDim && b.dim(1) != kUnknownDim) {
-          RLG_REQUIRE(bias.dim(0) == b.dim(1),
-                      "FusedDense bias dim mismatch: " << bias.to_string());
-        }
-        return single(DType::kFloat32, Shape{a.dim(0), b.dim(1)});
-      },
+      [](const SIC& c) { return fused_bias_sig(c, matmul_sig); },
       [](KernelContext& k) {
         return std::vector<Tensor>{kernels::fused_dense(
             k.inputs[0], k.inputs[1], k.inputs[2],
@@ -321,27 +333,7 @@ void register_linalg_ops(OpRegistry& r) {
       unary(&kernels::transpose2d));
 
   reg(
-      r, "Conv2D",
-      [](const SIC& c) {
-        const Shape& in = c.input_shapes[0];
-        const Shape& f = c.input_shapes[1];
-        RLG_REQUIRE(in.rank() == 4 && f.rank() == 4,
-                    "Conv2D expects NHWC x [kh,kw,cin,cout]");
-        int64_t stride = attr_int(c.node->attrs, "stride");
-        bool same = attr_bool(c.node->attrs, "same_padding", false);
-        int64_t h = in.dim(1), w = in.dim(2);
-        RLG_REQUIRE(h != kUnknownDim && w != kUnknownDim,
-                    "Conv2D spatial dims must be known at build time");
-        int64_t oh, ow;
-        if (same) {
-          oh = (h + stride - 1) / stride;
-          ow = (w + stride - 1) / stride;
-        } else {
-          oh = (h - f.dim(0)) / stride + 1;
-          ow = (w - f.dim(1)) / stride + 1;
-        }
-        return single(DType::kFloat32, Shape{in.dim(0), oh, ow, f.dim(3)});
-      },
+      r, "Conv2D", conv2d_sig,
       [](KernelContext& k) {
         return std::vector<Tensor>{kernels::conv2d(
             k.inputs[0], k.inputs[1],
@@ -353,33 +345,7 @@ void register_linalg_ops(OpRegistry& r) {
   // (no gradient rule), like FusedDense.
   reg(
       r, "FusedConv2D",
-      [](const SIC& c) {
-        RLG_REQUIRE(c.input_shapes.size() == 3, "FusedConv2D expects 3 inputs");
-        const Shape& in = c.input_shapes[0];
-        const Shape& f = c.input_shapes[1];
-        const Shape& bias = c.input_shapes[2];
-        RLG_REQUIRE(in.rank() == 4 && f.rank() == 4,
-                    "FusedConv2D expects NHWC x [kh,kw,cin,cout]");
-        RLG_REQUIRE(bias.rank() == 1, "FusedConv2D bias must be rank 1");
-        if (bias.dim(0) != kUnknownDim && f.dim(3) != kUnknownDim) {
-          RLG_REQUIRE(bias.dim(0) == f.dim(3),
-                      "FusedConv2D bias dim mismatch: " << bias.to_string());
-        }
-        int64_t stride = attr_int(c.node->attrs, "stride");
-        bool same = attr_bool(c.node->attrs, "same_padding", false);
-        int64_t h = in.dim(1), w = in.dim(2);
-        RLG_REQUIRE(h != kUnknownDim && w != kUnknownDim,
-                    "FusedConv2D spatial dims must be known at build time");
-        int64_t oh, ow;
-        if (same) {
-          oh = (h + stride - 1) / stride;
-          ow = (w + stride - 1) / stride;
-        } else {
-          oh = (h - f.dim(0)) / stride + 1;
-          ow = (w - f.dim(1)) / stride + 1;
-        }
-        return single(DType::kFloat32, Shape{in.dim(0), oh, ow, f.dim(3)});
-      },
+      [](const SIC& c) { return fused_bias_sig(c, conv2d_sig); },
       [](KernelContext& k) {
         return std::vector<Tensor>{kernels::fused_conv2d(
             k.inputs[0], k.inputs[1], k.inputs[2],

@@ -33,58 +33,16 @@ const char* pattern_activation(const std::string& op) {
   return nullptr;
 }
 
-}  // namespace
-
-namespace {
 OptimizeResult optimize_once(const GraphDef& graph,
                              const std::vector<Endpoint>& roots,
-                             const OptimizeOptions& options);
-}  // namespace
-
-OptimizeResult optimize_graph(const GraphDef& graph,
-                              const std::vector<Endpoint>& roots,
-                              const OptimizeOptions& options) {
-  // First pass folds/fuses; a second DCE-only pass drops constants orphaned
-  // by the rewrites.
-  OptimizeResult first = optimize_once(graph, roots, options);
-  std::vector<Endpoint> remapped_roots;
-  remapped_roots.reserve(roots.size());
-  for (const Endpoint& r : roots) {
-    remapped_roots.push_back(first.endpoint_map.at(r));
-  }
-  OptimizeOptions dce_only;
-  dce_only.constant_folding = false;
-  dce_only.elementwise_fusion = false;
-  OptimizeResult second =
-      optimize_once(*first.graph, remapped_roots, dce_only);
-  OptimizeResult result;
-  result.graph = second.graph;
-  result.nodes_before = graph.num_nodes();
-  result.nodes_after = second.nodes_after;
-  result.folded = first.folded;
-  result.fused_chains = first.fused_chains;
-  for (const auto& [old_ep, mid_ep] : first.endpoint_map) {
-    auto it = second.endpoint_map.find(mid_ep);
-    if (it != second.endpoint_map.end()) {
-      result.endpoint_map[old_ep] = it->second;
-    }
-  }
-  return result;
-}
-
-namespace {
-OptimizeResult optimize_once(const GraphDef& graph,
-                             const std::vector<Endpoint>& roots,
-                             const OptimizeOptions& options) {
+                             bool fold_constants) {
   OptimizeResult result;
   result.nodes_before = graph.num_nodes();
 
   // --- liveness: nodes reachable from roots through data + control deps ---
   std::vector<uint8_t> live(static_cast<size_t>(graph.num_nodes()), 0);
   std::vector<int> worklist;
-  std::set<int> root_nodes;
   for (const Endpoint& r : roots) {
-    root_nodes.insert(r.node);
     if (!live[static_cast<size_t>(r.node)]) {
       live[static_cast<size_t>(r.node)] = 1;
       worklist.push_back(r.node);
@@ -104,66 +62,6 @@ OptimizeResult optimize_once(const GraphDef& graph,
     for (int c : n.control_inputs) visit(c);
   }
 
-  // --- per-node data consumer count among live nodes --------------------
-  std::vector<int> consumers(static_cast<size_t>(graph.num_nodes()), 0);
-  for (const NodeDef& n : graph.nodes()) {
-    if (!live[static_cast<size_t>(n.id)]) continue;
-    for (const Endpoint& e : n.inputs) {
-      ++consumers[static_cast<size_t>(e.node)];
-    }
-  }
-
-  // --- decide fusion chains ---------------------------------------------
-  // fused_into[x] = id of the chain-terminating node that absorbs x.
-  std::vector<int> fused_into(static_cast<size_t>(graph.num_nodes()), -1);
-  // chain_start[t] = first op node of the chain terminating at t.
-  std::map<int, std::vector<int>> chain_nodes;  // terminator -> interior+self
-  if (options.elementwise_fusion) {
-    for (int id = 0; id < graph.num_nodes(); ++id) {
-      if (!live[static_cast<size_t>(id)]) continue;
-      const NodeDef& n = graph.node(id);
-      if (!is_fusable_unary(n.op) || !n.control_inputs.empty()) continue;
-      // Is this node a chain terminator? Yes unless its single consumer is a
-      // fusable unary that will absorb it.
-      // Walk upward collecting absorbable predecessors.
-      std::vector<int> chain{id};
-      int cur = id;
-      while (true) {
-        const NodeDef& c = graph.node(cur);
-        int prev = c.inputs[0].node;
-        const NodeDef& p = graph.node(prev);
-        if (!is_fusable_unary(p.op) || !p.control_inputs.empty()) break;
-        if (consumers[static_cast<size_t>(prev)] != 1) break;
-        if (root_nodes.count(prev) > 0) break;
-        chain.push_back(prev);
-        cur = prev;
-      }
-      if (chain.size() < 2) continue;
-      // Only record if `id` itself is not going to be absorbed upward; check
-      // the same conditions from the consumer side later. Simplest: record
-      // tentatively; a node that is itself absorbable into its consumer will
-      // be overwritten below.
-      chain_nodes[id] = chain;
-    }
-    // Remove chains whose terminator is interior to a longer chain.
-    std::set<int> interior;
-    for (const auto& [term, chain] : chain_nodes) {
-      for (size_t i = 1; i < chain.size(); ++i) interior.insert(chain[i]);
-    }
-    for (auto it = chain_nodes.begin(); it != chain_nodes.end();) {
-      if (interior.count(it->first) > 0) {
-        it = chain_nodes.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (const auto& [term, chain] : chain_nodes) {
-      for (size_t i = 1; i < chain.size(); ++i) {
-        fused_into[static_cast<size_t>(chain[i])] = term;
-      }
-    }
-  }
-
   // --- rebuild -------------------------------------------------------------
   auto new_graph = std::make_shared<GraphDef>();
   const OpRegistry& registry = OpRegistry::instance();
@@ -177,38 +75,12 @@ OptimizeResult optimize_once(const GraphDef& graph,
 
   for (int id = 0; id < graph.num_nodes(); ++id) {
     if (!live[static_cast<size_t>(id)]) continue;
-    if (fused_into[static_cast<size_t>(id)] >= 0) continue;  // emitted later
     const NodeDef& n = graph.node(id);
-
-    auto chain_it = chain_nodes.find(id);
-    if (chain_it != chain_nodes.end()) {
-      // Emit a FusedElementwise node for the whole chain. The chain vector
-      // is ordered terminator-first; execution order is the reverse.
-      const std::vector<int>& chain = chain_it->second;
-      std::string ops;
-      for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
-        if (!ops.empty()) ops += ",";
-        ops += graph.node(*rit).op;
-      }
-      const NodeDef& first = graph.node(chain.back());
-      NodeDef fused;
-      fused.name = n.name + "_fused";
-      fused.op = "FusedElementwise";
-      fused.inputs = {map_endpoint(first.inputs[0])};
-      fused.attrs["ops"] = ops;
-      fused.out_dtypes = n.out_dtypes;
-      fused.out_shapes = n.out_shapes;
-      fused.device = n.device;
-      int new_id = new_graph->add_node(std::move(fused));
-      for (int member : chain) node_map[member] = new_id;
-      ++result.fused_chains;
-      continue;
-    }
 
     // Constant folding: stateless op, all data inputs are Consts in the new
     // graph, no control inputs.
     const OpSchema& schema = registry.lookup(n.op);
-    bool foldable = options.constant_folding && !schema.stateful &&
+    bool foldable = fold_constants && !schema.stateful &&
                     n.op != "Const" && n.op != "Placeholder" &&
                     n.control_inputs.empty() && !n.inputs.empty();
     if (foldable) {
@@ -258,8 +130,7 @@ OptimizeResult optimize_once(const GraphDef& graph,
     for (int i = 0; i < nn.num_outputs(); ++i) {
       result.endpoint_map[Endpoint{old_id, i}] = Endpoint{new_id, i};
     }
-    // Fused interior nodes map to output 0 of the fused node; they have no
-    // external consumers by construction.
+    // Zero-output nodes (control-only roots) stay addressable as output 0.
     if (nn.num_outputs() == 0) {
       result.endpoint_map[Endpoint{old_id, 0}] = Endpoint{new_id, 0};
     }
@@ -269,10 +140,36 @@ OptimizeResult optimize_once(const GraphDef& graph,
   result.nodes_after = result.graph->num_nodes();
   RLG_LOG_DEBUG << "optimize_once: " << result.nodes_before << " -> "
                 << result.nodes_after << " nodes (" << result.folded
-                << " folded, " << result.fused_chains << " chains fused)";
+                << " folded)";
   return result;
 }
 }  // namespace
+
+OptimizeResult optimize_graph(const GraphDef& graph,
+                              const std::vector<Endpoint>& roots) {
+  // First pass folds; a second DCE-only pass drops constants orphaned by the
+  // folding.
+  OptimizeResult first = optimize_once(graph, roots, /*fold_constants=*/true);
+  std::vector<Endpoint> remapped_roots;
+  remapped_roots.reserve(roots.size());
+  for (const Endpoint& r : roots) {
+    remapped_roots.push_back(first.endpoint_map.at(r));
+  }
+  OptimizeResult second =
+      optimize_once(*first.graph, remapped_roots, /*fold_constants=*/false);
+  OptimizeResult result;
+  result.graph = second.graph;
+  result.nodes_before = graph.num_nodes();
+  result.nodes_after = second.nodes_after;
+  result.folded = first.folded;
+  for (const auto& [old_ep, mid_ep] : first.endpoint_map) {
+    auto it = second.endpoint_map.find(mid_ep);
+    if (it != second.endpoint_map.end()) {
+      result.endpoint_map[old_ep] = it->second;
+    }
+  }
+  return result;
+}
 
 // --- per-plan pattern fusion -------------------------------------------------
 

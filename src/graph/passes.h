@@ -3,11 +3,10 @@
 // up opportunities for optimization at all stages ... integrated at the graph
 // build stage").
 //
-// Implemented passes:
-//  * dead-node elimination relative to the API registry's root endpoints,
-//  * constant folding of stateless ops with all-constant inputs,
-//  * fusion of chains of parameter-free elementwise ops into a single
-//    FusedElementwise node.
+// optimize_graph runs at build time: dead-node elimination relative to the
+// API registry's root endpoints, and constant folding of stateless ops with
+// all-constant inputs. Fusion is per plan (fuse_plan_patterns below), where
+// the fetch set says which endpoints must stay addressable.
 #pragma once
 
 #include <map>
@@ -18,12 +17,6 @@
 
 namespace rlgraph {
 
-struct OptimizeOptions {
-  bool constant_folding = true;
-  bool elementwise_fusion = true;
-  // DCE always runs; it is what keeps rebuilt graphs minimal.
-};
-
 struct OptimizeResult {
   std::shared_ptr<GraphDef> graph;
   // Mapping from old endpoints to new endpoints for every live node.
@@ -31,14 +24,12 @@ struct OptimizeResult {
   int nodes_before = 0;
   int nodes_after = 0;
   int folded = 0;
-  int fused_chains = 0;
 };
 
 // `roots` are the endpoints that must stay addressable (API registry outputs
 // and placeholders are kept implicitly as they appear in live node inputs).
 OptimizeResult optimize_graph(const GraphDef& graph,
-                              const std::vector<Endpoint>& roots,
-                              const OptimizeOptions& options = {});
+                              const std::vector<Endpoint>& roots);
 
 // --- per-plan pattern fusion -------------------------------------------------
 //

@@ -41,6 +41,56 @@ inline int64_t rows_grain(int64_t flops_per_row) {
   return std::max<int64_t>(1, kGrainFlops / std::max<int64_t>(1, flops_per_row));
 }
 
+// Per-element op functors, one definition per op. The standalone kernels
+// inline them into their loops; the fused kernels' activation epilogues and
+// chain links call the same definitions, so fused results are bitwise
+// identical to the unfused op sequence.
+struct AddOp {
+  template <typename T> T operator()(T x, T y) const { return x + y; }
+};
+struct SubOp {
+  template <typename T> T operator()(T x, T y) const { return x - y; }
+};
+struct MulOp {
+  template <typename T> T operator()(T x, T y) const { return x * y; }
+};
+struct DivOp {
+  template <typename T> T operator()(T x, T y) const { return x / y; }
+};
+struct MinimumOp {
+  template <typename T> T operator()(T x, T y) const { return x < y ? x : y; }
+};
+struct MaximumOp {
+  template <typename T> T operator()(T x, T y) const { return x > y ? x : y; }
+};
+struct NegOp {
+  float operator()(float x) const { return -x; }
+};
+struct ExpOp {
+  float operator()(float x) const { return std::exp(x); }
+};
+struct LogOp {
+  float operator()(float x) const { return std::log(x); }
+};
+struct SqrtOp {
+  float operator()(float x) const { return std::sqrt(x); }
+};
+struct SquareOp {
+  float operator()(float x) const { return x * x; }
+};
+struct AbsOp {
+  float operator()(float x) const { return std::fabs(x); }
+};
+struct ReluOp {
+  float operator()(float x) const { return x > 0.0f ? x : 0.0f; }
+};
+struct SigmoidOp {
+  float operator()(float x) const { return 1.0f / (1.0f + std::exp(-x)); }
+};
+struct TanhOp {
+  float operator()(float x) const { return std::tanh(x); }
+};
+
 // Iterator state for broadcasting: maps a flat output index to flat input
 // indices given per-input strides (stride 0 on broadcast dimensions).
 struct BroadcastPlan {
@@ -184,29 +234,27 @@ Tensor unary_float(const Tensor& a, Fn fn, const char* op) {
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  return binary_numeric(a, b, [](auto x, auto y) { return x + y; }, "add");
+  return binary_numeric(a, b, AddOp{}, "add");
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
-  return binary_numeric(a, b, [](auto x, auto y) { return x - y; }, "sub");
+  return binary_numeric(a, b, SubOp{}, "sub");
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  return binary_numeric(a, b, [](auto x, auto y) { return x * y; }, "mul");
+  return binary_numeric(a, b, MulOp{}, "mul");
 }
 
 Tensor div(const Tensor& a, const Tensor& b) {
-  return binary_numeric(a, b, [](auto x, auto y) { return x / y; }, "div");
+  return binary_numeric(a, b, DivOp{}, "div");
 }
 
 Tensor minimum(const Tensor& a, const Tensor& b) {
-  return binary_numeric(
-      a, b, [](auto x, auto y) { return x < y ? x : y; }, "minimum");
+  return binary_numeric(a, b, MinimumOp{}, "minimum");
 }
 
 Tensor maximum(const Tensor& a, const Tensor& b) {
-  return binary_numeric(
-      a, b, [](auto x, auto y) { return x > y ? x : y; }, "maximum");
+  return binary_numeric(a, b, MaximumOp{}, "maximum");
 }
 
 Tensor equal(const Tensor& a, const Tensor& b) {
@@ -250,34 +298,17 @@ Tensor logical_not(const Tensor& a) {
   return out;
 }
 
-Tensor neg(const Tensor& a) {
-  return unary_float(a, [](float x) { return -x; }, "neg");
-}
-Tensor exp(const Tensor& a) {
-  return unary_float(a, [](float x) { return std::exp(x); }, "exp");
-}
-Tensor log(const Tensor& a) {
-  return unary_float(a, [](float x) { return std::log(x); }, "log");
-}
-Tensor sqrt(const Tensor& a) {
-  return unary_float(a, [](float x) { return std::sqrt(x); }, "sqrt");
-}
-Tensor square(const Tensor& a) {
-  return unary_float(a, [](float x) { return x * x; }, "square");
-}
-Tensor abs(const Tensor& a) {
-  return unary_float(a, [](float x) { return std::fabs(x); }, "abs");
-}
-Tensor relu(const Tensor& a) {
-  return unary_float(a, [](float x) { return x > 0.0f ? x : 0.0f; }, "relu");
-}
+Tensor neg(const Tensor& a) { return unary_float(a, NegOp{}, "neg"); }
+Tensor exp(const Tensor& a) { return unary_float(a, ExpOp{}, "exp"); }
+Tensor log(const Tensor& a) { return unary_float(a, LogOp{}, "log"); }
+Tensor sqrt(const Tensor& a) { return unary_float(a, SqrtOp{}, "sqrt"); }
+Tensor square(const Tensor& a) { return unary_float(a, SquareOp{}, "square"); }
+Tensor abs(const Tensor& a) { return unary_float(a, AbsOp{}, "abs"); }
+Tensor relu(const Tensor& a) { return unary_float(a, ReluOp{}, "relu"); }
 Tensor sigmoid(const Tensor& a) {
-  return unary_float(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); }, "sigmoid");
+  return unary_float(a, SigmoidOp{}, "sigmoid");
 }
-Tensor tanh(const Tensor& a) {
-  return unary_float(a, [](float x) { return std::tanh(x); }, "tanh");
-}
+Tensor tanh(const Tensor& a) { return unary_float(a, TanhOp{}, "tanh"); }
 Tensor softplus(const Tensor& a) {
   // max(x, 0) + log1p(exp(-|x|)): never overflows, and keeps full float
   // precision for large |x| where the naive log(1 + exp(x)) saturates.
@@ -327,15 +358,22 @@ Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  check_dtype(a, DType::kFloat32, "matmul");
-  check_dtype(b, DType::kFloat32, "matmul");
+namespace {
+// Row-sharded a @ b. `epilogue(orow)` runs on each of the shard's own
+// output rows once that row's accumulation over all of k is complete, so a
+// fused bias/activation sees exactly the values the standalone matmul
+// returns.
+template <typename Epilogue>
+Tensor matmul_with(const Tensor& a, const Tensor& b, const char* op,
+                   Epilogue epilogue) {
+  check_dtype(a, DType::kFloat32, op);
+  check_dtype(b, DType::kFloat32, op);
   RLG_REQUIRE(a.shape().rank() == 2 && b.shape().rank() == 2,
-              "matmul requires rank-2 operands, got "
-                  << a.shape().to_string() << " x " << b.shape().to_string());
+              op << " requires rank-2 operands, got " << a.shape().to_string()
+                 << " x " << b.shape().to_string());
   int64_t m = a.shape().dim(0), k = a.shape().dim(1);
   int64_t k2 = b.shape().dim(0), n = b.shape().dim(1);
-  RLG_REQUIRE(k == k2, "matmul inner dims mismatch: " << k << " vs " << k2);
+  RLG_REQUIRE(k == k2, op << " inner dims mismatch: " << k << " vs " << k2);
   Tensor out = Tensor::zeros(DType::kFloat32, Shape{m, n});
   const float* pa = a.data<float>();
   const float* pb = b.data<float>();
@@ -346,7 +384,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   // ascending order, so results are bitwise identical at any thread count.
   constexpr int64_t kKBlock = 256;
   shard_range(rows_grain(2 * k * n), m,
-              [pa, pb, po, k, n](int64_t r0, int64_t r1) {
+              [pa, pb, po, k, n, &epilogue](int64_t r0, int64_t r1) {
                 for (int64_t kb = 0; kb < k; kb += kKBlock) {
                   int64_t ke = std::min(k, kb + kKBlock);
                   for (int64_t i = r0; i < r1; ++i) {
@@ -360,8 +398,14 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                     }
                   }
                 }
+                for (int64_t i = r0; i < r1; ++i) epilogue(po + i * n);
               });
   return out;
+}
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  return matmul_with(a, b, "matmul", [](float*) {});
 }
 
 Tensor transpose2d(const Tensor& a) {
@@ -389,14 +433,6 @@ Tensor transpose2d(const Tensor& a) {
   });
   return out;
 }
-
-namespace {
-struct ConvDims {
-  int64_t batch, in_h, in_w, in_c;
-  int64_t kh, kw, out_c;
-  int64_t out_h, out_w;
-  int64_t pad_h, pad_w;  // top/left padding
-};
 
 ConvDims conv_dims(const Shape& input, const Shape& filter, int stride,
                    bool same_padding) {
@@ -430,24 +466,25 @@ ConvDims conv_dims(const Shape& input, const Shape& filter, int stride,
   }
   return d;
 }
-}  // namespace
 
-Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
-              bool same_padding) {
-  check_dtype(input, DType::kFloat32, "conv2d");
-  check_dtype(filter, DType::kFloat32, "conv2d");
-  ConvDims d = conv_dims(input.shape(), filter.shape(), stride, same_padding);
+namespace {
+// Shards over batch x out_h: every (b, oh) pair owns a disjoint slice of the
+// output, and the per-pixel accumulation order is fixed, so the result is
+// bitwise identical to the serial loop. `epilogue(opix)` runs on each of the
+// shard's own output pixels (out_c values) right after its accumulation.
+template <typename Epilogue>
+Tensor conv2d_with(const Tensor& input, const Tensor& filter, int stride,
+                   const ConvDims& d, const char* op, Epilogue epilogue) {
+  check_dtype(input, DType::kFloat32, op);
+  check_dtype(filter, DType::kFloat32, op);
   Tensor out =
       Tensor::zeros(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
   const float* pi = input.data<float>();
   const float* pf = filter.data<float>();
   float* po = out.mutable_data<float>();
-  // Shard over batch x out_h: every (b, oh) pair owns a disjoint slice of
-  // the output, and the per-pixel accumulation order is unchanged, so the
-  // result is bitwise identical to the serial loop.
   int64_t conv_row_flops = 2 * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
   shard_range(rows_grain(conv_row_flops), d.batch * d.out_h,
-              [&d, pi, pf, po, stride](int64_t row0, int64_t row1) {
+              [&d, &epilogue, pi, pf, po, stride](int64_t row0, int64_t row1) {
     for (int64_t row = row0; row < row1; ++row) {
       int64_t b = row / d.out_h;
       int64_t oh = row % d.out_h;
@@ -471,10 +508,18 @@ Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
             }
           }
         }
+        epilogue(opix);
       }
     }
   });
   return out;
+}
+}  // namespace
+
+Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
+              bool same_padding) {
+  ConvDims d = conv_dims(input.shape(), filter.shape(), stride, same_padding);
+  return conv2d_with(input, filter, stride, d, "conv2d", [](float*) {});
 }
 
 Tensor conv2d_backprop_input(const Shape& input_shape, const Tensor& filter,
@@ -962,14 +1007,12 @@ Tensor random_int(const Shape& shape, int64_t n, Rng& rng) {
 }
 
 namespace {
-// Exactly the activation expressions of the standalone unary kernels, so a
-// fused epilogue produces bit-identical results to the unfused op.
 inline float apply_fused_activation(float v, FusedActivation act) {
   switch (act) {
     case FusedActivation::kNone: return v;
-    case FusedActivation::kRelu: return v > 0.0f ? v : 0.0f;
-    case FusedActivation::kTanh: return std::tanh(v);
-    case FusedActivation::kSigmoid: return 1.0f / (1.0f + std::exp(-v));
+    case FusedActivation::kRelu: return ReluOp{}(v);
+    case FusedActivation::kTanh: return TanhOp{}(v);
+    case FusedActivation::kSigmoid: return SigmoidOp{}(v);
   }
   return v;
 }
@@ -987,107 +1030,52 @@ FusedActivation fused_activation_from_string(const std::string& name) {
 
 Tensor fused_dense(const Tensor& x, const Tensor& w, const Tensor& bias,
                    FusedActivation act) {
-  check_dtype(x, DType::kFloat32, "fused_dense");
-  check_dtype(w, DType::kFloat32, "fused_dense");
   check_dtype(bias, DType::kFloat32, "fused_dense");
-  RLG_REQUIRE(x.shape().rank() == 2 && w.shape().rank() == 2,
-              "fused_dense requires rank-2 operands, got "
-                  << x.shape().to_string() << " x " << w.shape().to_string());
-  int64_t m = x.shape().dim(0), k = x.shape().dim(1);
-  int64_t k2 = w.shape().dim(0), n = w.shape().dim(1);
-  RLG_REQUIRE(k == k2,
-              "fused_dense inner dims mismatch: " << k << " vs " << k2);
-  RLG_REQUIRE(bias.shape().rank() == 1 && bias.shape().dim(0) == n,
-              "fused_dense bias must be [" << n << "], got "
-                                           << bias.shape().to_string());
-  Tensor out = Tensor::zeros(DType::kFloat32, Shape{m, n});
-  const float* pa = x.data<float>();
-  const float* pb = w.data<float>();
+  RLG_REQUIRE(bias.shape().rank() == 1 && w.shape().rank() == 2 &&
+                  bias.shape().dim(0) == w.shape().dim(1),
+              "fused_dense bias " << bias.shape().to_string()
+                                  << " does not match weights "
+                                  << w.shape().to_string());
   const float* pbias = bias.data<float>();
-  float* po = out.mutable_data<float>();
-  // Same shard grain, k-blocking, and ascending-k accumulation as matmul;
-  // the bias + activation epilogue runs per owned row after the full k loop,
-  // inside the same shard, so fused == MatMul -> Add -> act bit for bit.
-  constexpr int64_t kKBlock = 256;
-  shard_range(rows_grain(2 * k * n), m,
-              [pa, pb, pbias, po, k, n, act](int64_t r0, int64_t r1) {
-                for (int64_t kb = 0; kb < k; kb += kKBlock) {
-                  int64_t ke = std::min(k, kb + kKBlock);
-                  for (int64_t i = r0; i < r1; ++i) {
-                    const float* arow = pa + i * k;
-                    float* orow = po + i * n;
-                    for (int64_t kk = kb; kk < ke; ++kk) {
-                      float av = arow[kk];
-                      if (av == 0.0f) continue;
-                      const float* brow = pb + kk * n;
-                      for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-                    }
-                  }
-                }
-                for (int64_t i = r0; i < r1; ++i) {
-                  float* orow = po + i * n;
-                  for (int64_t j = 0; j < n; ++j) {
-                    orow[j] = apply_fused_activation(orow[j] + pbias[j], act);
-                  }
-                }
-              });
-  return out;
+  int64_t n = bias.shape().dim(0);
+  return matmul_with(x, w, "fused_dense", [pbias, n, act](float* orow) {
+    for (int64_t j = 0; j < n; ++j) {
+      orow[j] = apply_fused_activation(AddOp{}(orow[j], pbias[j]), act);
+    }
+  });
 }
 
 Tensor fused_conv2d(const Tensor& input, const Tensor& filter,
                     const Tensor& bias, int stride, bool same_padding,
                     FusedActivation act) {
-  check_dtype(input, DType::kFloat32, "fused_conv2d");
-  check_dtype(filter, DType::kFloat32, "fused_conv2d");
-  check_dtype(bias, DType::kFloat32, "fused_conv2d");
   ConvDims d = conv_dims(input.shape(), filter.shape(), stride, same_padding);
+  check_dtype(bias, DType::kFloat32, "fused_conv2d");
   RLG_REQUIRE(bias.shape().rank() == 1 && bias.shape().dim(0) == d.out_c,
               "fused_conv2d bias must be [" << d.out_c << "], got "
                                             << bias.shape().to_string());
-  Tensor out =
-      Tensor::zeros(DType::kFloat32, Shape{d.batch, d.out_h, d.out_w, d.out_c});
-  const float* pi = input.data<float>();
-  const float* pf = filter.data<float>();
   const float* pbias = bias.data<float>();
-  float* po = out.mutable_data<float>();
-  // conv2d's shard decomposition and accumulation order, plus a per-pixel
-  // bias + activation epilogue on the shard's own output rows.
-  int64_t conv_row_flops = 2 * d.out_w * d.kh * d.kw * d.in_c * d.out_c;
-  shard_range(rows_grain(conv_row_flops), d.batch * d.out_h,
-              [&d, pi, pf, pbias, po, stride, act](int64_t row0, int64_t row1) {
-    for (int64_t row = row0; row < row1; ++row) {
-      int64_t b = row / d.out_h;
-      int64_t oh = row % d.out_h;
-      for (int64_t ow = 0; ow < d.out_w; ++ow) {
-        float* opix = po + ((b * d.out_h + oh) * d.out_w + ow) * d.out_c;
-        for (int64_t fh = 0; fh < d.kh; ++fh) {
-          int64_t ih = oh * stride + fh - d.pad_h;
-          if (ih < 0 || ih >= d.in_h) continue;
-          for (int64_t fw = 0; fw < d.kw; ++fw) {
-            int64_t iw = ow * stride + fw - d.pad_w;
-            if (iw < 0 || iw >= d.in_w) continue;
-            const float* ipix = pi + ((b * d.in_h + ih) * d.in_w + iw) * d.in_c;
-            const float* fpix = pf + (fh * d.kw + fw) * d.in_c * d.out_c;
-            for (int64_t c = 0; c < d.in_c; ++c) {
-              float iv = ipix[c];
-              if (iv == 0.0f) continue;
-              const float* frow = fpix + c * d.out_c;
-              for (int64_t oc = 0; oc < d.out_c; ++oc) {
-                opix[oc] += iv * frow[oc];
-              }
-            }
-          }
-        }
-        for (int64_t oc = 0; oc < d.out_c; ++oc) {
-          opix[oc] = apply_fused_activation(opix[oc] + pbias[oc], act);
-        }
-      }
-    }
-  });
-  return out;
+  int64_t n = d.out_c;
+  return conv2d_with(input, filter, stride, d, "fused_conv2d",
+                     [pbias, n, act](float* opix) {
+                       for (int64_t oc = 0; oc < n; ++oc) {
+                         opix[oc] = apply_fused_activation(
+                             AddOp{}(opix[oc], pbias[oc]), act);
+                       }
+                     });
 }
 
 namespace {
+// Chain links dispatch through function pointers instantiated from the
+// standalone kernels' functors.
+template <typename Op>
+float apply_unary(float x) {
+  return Op{}(x);
+}
+template <typename Op>
+float apply_binary(float x, float y) {
+  return Op{}(x, y);
+}
+
 struct CompiledLink {
   float (*un)(float) = nullptr;
   float (*bin)(float, float) = nullptr;
@@ -1104,30 +1092,24 @@ CompiledLink compile_link(const EwiseLink& link, size_t num_extras) {
                     static_cast<size_t>(link.extra) < num_extras,
                 "fused_elementwise: extra index " << link.extra
                                                   << " out of range");
-    // Same lambdas as the standalone binary kernels.
-    if (link.op == "Add") c.bin = +[](float x, float y) { return x + y; };
-    else if (link.op == "Sub") c.bin = +[](float x, float y) { return x - y; };
-    else if (link.op == "Mul") c.bin = +[](float x, float y) { return x * y; };
-    else if (link.op == "Div") c.bin = +[](float x, float y) { return x / y; };
-    else if (link.op == "Minimum")
-      c.bin = +[](float x, float y) { return x < y ? x : y; };
-    else if (link.op == "Maximum")
-      c.bin = +[](float x, float y) { return x > y ? x : y; };
+    if (link.op == "Add") c.bin = &apply_binary<AddOp>;
+    else if (link.op == "Sub") c.bin = &apply_binary<SubOp>;
+    else if (link.op == "Mul") c.bin = &apply_binary<MulOp>;
+    else if (link.op == "Div") c.bin = &apply_binary<DivOp>;
+    else if (link.op == "Minimum") c.bin = &apply_binary<MinimumOp>;
+    else if (link.op == "Maximum") c.bin = &apply_binary<MaximumOp>;
     else
       throw ValueError("fused_elementwise: unsupported binary op " + link.op);
   } else {
-    // Same lambdas as the standalone unary kernels.
-    if (link.op == "Neg") c.un = +[](float x) { return -x; };
-    else if (link.op == "Exp") c.un = +[](float x) { return std::exp(x); };
-    else if (link.op == "Log") c.un = +[](float x) { return std::log(x); };
-    else if (link.op == "Sqrt") c.un = +[](float x) { return std::sqrt(x); };
-    else if (link.op == "Square") c.un = +[](float x) { return x * x; };
-    else if (link.op == "Abs") c.un = +[](float x) { return std::fabs(x); };
-    else if (link.op == "Relu")
-      c.un = +[](float x) { return x > 0.0f ? x : 0.0f; };
-    else if (link.op == "Sigmoid")
-      c.un = +[](float x) { return 1.0f / (1.0f + std::exp(-x)); };
-    else if (link.op == "Tanh") c.un = +[](float x) { return std::tanh(x); };
+    if (link.op == "Neg") c.un = &apply_unary<NegOp>;
+    else if (link.op == "Exp") c.un = &apply_unary<ExpOp>;
+    else if (link.op == "Log") c.un = &apply_unary<LogOp>;
+    else if (link.op == "Sqrt") c.un = &apply_unary<SqrtOp>;
+    else if (link.op == "Square") c.un = &apply_unary<SquareOp>;
+    else if (link.op == "Abs") c.un = &apply_unary<AbsOp>;
+    else if (link.op == "Relu") c.un = &apply_unary<ReluOp>;
+    else if (link.op == "Sigmoid") c.un = &apply_unary<SigmoidOp>;
+    else if (link.op == "Tanh") c.un = &apply_unary<TanhOp>;
     else
       throw ValueError("fused_elementwise: unsupported unary op " + link.op);
   }

@@ -56,6 +56,19 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 Tensor transpose2d(const Tensor& a);
 
 // --- Convolution (NHWC) -----------------------------------------------------
+// Output geometry of an NHWC convolution; the one place the conv output
+// dims are derived, shared by the kernels and the ops' build-time shape
+// functions. Throws ValueError on a rank or cin mismatch and, with valid
+// padding, on a kernel larger than the input. The batch dim passes through
+// unchanged, so an unknown batch stays unknown.
+struct ConvDims {
+  int64_t batch, in_h, in_w, in_c;
+  int64_t kh, kw, out_c;
+  int64_t out_h, out_w;
+  int64_t pad_h, pad_w;  // top/left padding
+};
+ConvDims conv_dims(const Shape& input, const Shape& filter, int stride,
+                   bool same_padding);
 // input: [B, H, W, Cin], filter: [kh, kw, Cin, Cout]; "same" padding iff
 // same_padding, stride >= 1. Output [B, Ho, Wo, Cout].
 Tensor conv2d(const Tensor& input, const Tensor& filter, int stride,
@@ -107,9 +120,10 @@ Tensor random_int(const Shape& shape, int64_t n, Rng& rng);
 
 // --- Fused composites --------------------------------------------------------
 // The pattern-fusion pass lowers MatMul+AddBias(+activation) and
-// Conv2D+AddBias(+activation) onto these. Bias add and activation run in the
-// accumulation loop's epilogue within the same output shard, so results are
-// bitwise identical to the unfused op sequence at any thread count.
+// Conv2D+AddBias(+activation) onto these. They run the standalone matmul /
+// conv2d loop with a bias + activation epilogue on each shard's own output
+// rows (pixels), so results are bitwise identical to the unfused op
+// sequence at any thread count by construction.
 enum class FusedActivation { kNone = 0, kRelu = 1, kTanh = 2, kSigmoid = 3 };
 FusedActivation fused_activation_from_string(const std::string& name);
 // x: [M, K], w: [K, N], bias: [N] -> act(x @ w + bias), float32.

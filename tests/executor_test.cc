@@ -90,6 +90,45 @@ TEST(GraphExecutorTest, OptimizePassesPreserveSemantics) {
       b.execute("forward", {x})[0], 1e-6));
 }
 
+TEST(GraphExecutorTest, BatchableCallsHitTheSessionPlanCache) {
+  // A batchable API looks its shape-specialized plan up in the session's
+  // LRU on every call: the session cache is the only plan cache, so every
+  // repeat call is one hit there and no compile.
+  GraphExecutor exec(make_mlp_root(), mlp_apis());
+  exec.build();
+  Session* session = exec.session();
+  Rng rng(3);
+  Tensor x = kernels::random_uniform(Shape{4, 5}, -1, 1, rng);
+  Tensor expected = exec.execute("forward", {x})[0];  // compiles batch 4
+  const int64_t hits = session->plan_cache_hits();
+  const int64_t compiles = session->plan_compiles();
+  for (int i = 1; i <= 5; ++i) {
+    EXPECT_TRUE(exec.execute("forward", {x})[0].equals(expected));
+    EXPECT_EQ(session->plan_cache_hits(), hits + i);
+    EXPECT_EQ(session->plan_compiles(), compiles);
+  }
+
+  // Cycling through more distinct batch sizes than the cache holds keeps
+  // it at its cap (LRU eviction, recompiles on return) with every result
+  // unchanged.
+  const std::vector<int64_t> batches{1, 2, 3, 5, 6, 7};
+  std::map<int64_t, Tensor> inputs, outputs;
+  for (int64_t n : batches) {
+    inputs[n] = kernels::random_uniform(Shape{n, 5}, -1, 1, rng);
+    outputs[n] = exec.execute("forward", {inputs[n]})[0];
+  }
+  constexpr size_t kCap = 3;
+  session->set_plan_cache_capacity(kCap);
+  for (int round = 0; round < 2; ++round) {
+    for (int64_t n : batches) {
+      EXPECT_TRUE(exec.execute("forward", {inputs[n]})[0].equals(outputs[n]))
+          << "batch " << n << ", round " << round;
+      EXPECT_EQ(session->plan_cache_size(), kCap);
+    }
+  }
+  EXPECT_GT(session->plan_cache_evictions(), 0);
+}
+
 TEST(GraphExecutorTest, BuildStatsPopulated) {
   GraphExecutor exec(make_mlp_root(), mlp_apis());
   const BuildStats& stats = exec.build();

@@ -156,6 +156,20 @@ TEST_F(SessionTest, FetchOrderDefinesResultOrder) {
   EXPECT_FLOAT_EQ(out[1].scalar_value(), 1.0f);
 }
 
+TEST_F(SessionTest, ConvShapeFnsRejectCinMismatchAtBuild) {
+  // A 3-channel filter over a 2-channel input: both conv ops' shape
+  // functions reject it while the graph is built.
+  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim, 5, 5, 2});
+  OpRef f = ctx_.constant(Tensor::zeros(DType::kFloat32, Shape{3, 3, 3, 4}));
+  OpRef bias = ctx_.constant(Tensor::zeros(DType::kFloat32, Shape{4}));
+  EXPECT_THROW(ctx_.apply("Conv2D", {x, f}, {{"stride", int64_t{1}}}),
+               ValueError);
+  EXPECT_THROW(ctx_.apply("FusedConv2D", {x, f, bias},
+                          {{"stride", int64_t{1}},
+                           {"activation", std::string("relu")}}),
+               ValueError);
+}
+
 TEST(GraphDefTest, UniquifiesNames) {
   GraphDef g;
   NodeDef n1;

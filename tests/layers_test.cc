@@ -65,6 +65,17 @@ TEST(Conv2DLayerTest, OutputShape) {
   Tensor x = Tensor::zeros(DType::kFloat32, Shape{2, 9, 9, 2});
   Tensor y = test.test("apply", {x})[0];
   EXPECT_EQ(y.shape(), (Shape{2, 4, 4, 5}));
+
+  // Valid-padding geometries the kernel would reject fail when the static
+  // graph is built, not on the first call: a 4x4 kernel over a 3x3 input at
+  // stride 2, and over a 2x2 input at stride 1.
+  for (auto [hw, stride] : {std::pair<int64_t, int64_t>{3, 2}, {2, 1}}) {
+    EXPECT_THROW(make_layer_test(std::make_shared<Conv2DLayer>("conv", 2, 4,
+                                                               stride),
+                                 FloatBox(Shape{hw, hw, 1})->with_batch_rank()),
+                 ValueError)
+        << hw << "x" << hw << " input, stride " << stride;
+  }
 }
 
 TEST(LSTMLayerTest, SequenceOutputShape) {

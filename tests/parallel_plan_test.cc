@@ -200,6 +200,76 @@ TEST_F(ParallelPlanTest, FusedPlanBitwiseMatchesUnfusedAtAnyThreadCount) {
   }
 }
 
+TEST_F(ParallelPlanTest, FusedConvPlanBitwiseMatchesUnfusedAtAnyThreadCount) {
+  // Conv2D + bias + {none, relu, tanh, sigmoid} at stride 1/2 with same and
+  // valid padding. The fused kernel runs conv2d's own loop with a bias +
+  // activation epilogue, so it equals the unfused Conv2D -> Add -> act plan
+  // bitwise. 16 images of 8x8 give the conv enough rows to shard.
+  auto fill = [](int64_t count, float scale) {
+    std::vector<float> v(static_cast<size_t>(count));
+    for (int64_t i = 0; i < count; ++i) {
+      v[static_cast<size_t>(i)] =
+          scale * std::sin(0.37f * static_cast<float>(i));
+    }
+    return v;
+  };
+  store_.create("cf", Tensor::from_floats(Shape{3, 3, 3, 8},
+                                          fill(3 * 3 * 3 * 8, 0.2f)));
+  store_.create("cb", Tensor::from_floats(Shape{8}, fill(8, 0.1f)));
+  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{16, 8, 8, 3});
+  Tensor feed =
+      Tensor::from_floats(Shape{16, 8, 8, 3}, fill(16 * 8 * 8 * 3, 1.0f));
+
+  for (int64_t stride : {1, 2}) {
+    for (bool same : {true, false}) {
+      for (const std::string act : {"none", "relu", "tanh", "sigmoid"}) {
+        SCOPED_TRACE("stride " + std::to_string(stride) +
+                     (same ? " same " : " valid ") + act);
+        OpRef h = ctx_.add(
+            ctx_.apply("Conv2D", {x, ctx_.variable("cf")},
+                       {{"stride", stride}, {"same_padding", same}}),
+            ctx_.variable("cb"));
+        if (act == "relu") h = ctx_.relu(h);
+        if (act == "tanh") h = ctx_.tanh(h);
+        if (act == "sigmoid") h = ctx_.sigmoid(h);
+
+        auto unfused =
+            CompiledPlan::compile(ctx_.graph(), {{h.node, 0}}, {x.node});
+        auto fused = CompiledPlan::compile(ctx_.graph(), {{h.node, 0}},
+                                           {x.node}, /*fuse_patterns=*/true);
+        EXPECT_EQ(fused->fused_kernel_steps(), 1);
+        EXPECT_LT(fused->num_steps(), unfused->num_steps());
+
+        set_global_parallelism(1);
+        RunArena serial_arena;
+        std::vector<float> serial =
+            unfused->execute(serial_arena, {feed}, &store_, &rng_)[0]
+                .to_floats();
+        RunArena fused_serial_arena;
+        EXPECT_EQ(fused->execute(fused_serial_arena, {feed}, &store_,
+                                 &rng_)[0]
+                      .to_floats(),
+                  serial);
+        for (size_t threads : {size_t{2}, size_t{8}}) {
+          ParallelismGuard guard(threads);
+          RunArena fused_arena;
+          EXPECT_EQ(
+              fused->execute(fused_arena, {feed}, &store_, &rng_)[0]
+                  .to_floats(),
+              serial)
+              << threads << " threads";
+          RunArena unfused_arena;
+          EXPECT_EQ(
+              unfused->execute(unfused_arena, {feed}, &store_, &rng_)[0]
+                  .to_floats(),
+              serial)
+              << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
 Json dqn_config() {
   Json cfg = Json::parse(R"({
     "type": "dqn",

@@ -1,5 +1,6 @@
-// Tests for the graph optimization passes: DCE, constant folding, and
-// elementwise fusion, including endpoint remapping correctness.
+// Tests for the graph optimization passes: build-time DCE and constant
+// folding, and per-plan pattern fusion, including endpoint remapping
+// correctness.
 #include <gtest/gtest.h>
 
 #include "backend/static_context.h"
@@ -68,66 +69,6 @@ TEST_F(PassesTest, StatefulOpsNeverFolded) {
   EXPECT_FLOAT_EQ(eval(opt, y).scalar_value(), -5.0f);
   store_.set("v", Tensor::scalar(7.0f));
   EXPECT_FLOAT_EQ(eval(opt, y).scalar_value(), -7.0f);
-}
-
-TEST_F(PassesTest, ElementwiseChainsFuse) {
-  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim});
-  OpRef y = ctx_.tanh(ctx_.relu(ctx_.neg(x)));
-  OptimizeResult opt = optimize_graph(ctx_.graph_def(),
-                                      {{y.node, y.index}, {x.node, x.index}});
-  EXPECT_EQ(opt.fused_chains, 1);
-  // Placeholder + fused node only.
-  EXPECT_EQ(opt.nodes_after, 2);
-  FeedMap feeds;
-  feeds[opt.endpoint_map.at({x.node, 0}).node] =
-      Tensor::from_floats(Shape{3}, {-1, 0, 2});
-  Tensor out = eval(opt, y, feeds);
-  EXPECT_NEAR(out.data<float>()[0], std::tanh(1.0f), 1e-6);
-  EXPECT_NEAR(out.data<float>()[1], 0.0f, 1e-6);
-  EXPECT_NEAR(out.data<float>()[2], 0.0f, 1e-6);  // relu(-2) = 0
-}
-
-TEST_F(PassesTest, FusionRespectsMultipleConsumers) {
-  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim});
-  OpRef mid = ctx_.relu(x);
-  OpRef y1 = ctx_.tanh(mid);
-  OpRef y2 = ctx_.exp(mid);  // mid has two consumers; must not be absorbed
-  OptimizeResult opt = optimize_graph(
-      ctx_.graph_def(),
-      {{y1.node, 0}, {y2.node, 0}, {x.node, 0}});
-  FeedMap feeds;
-  feeds[opt.endpoint_map.at({x.node, 0}).node] =
-      Tensor::from_floats(Shape{1}, {0.5f});
-  EXPECT_NEAR(eval(opt, y1, feeds).scalar_value(), std::tanh(0.5), 1e-6);
-  EXPECT_NEAR(eval(opt, y2, feeds).scalar_value(), std::exp(0.5), 1e-5);
-}
-
-TEST_F(PassesTest, RootsAreNeverFusedAway) {
-  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim});
-  OpRef mid = ctx_.relu(x);  // a root (fetched by the API registry)
-  OpRef y = ctx_.tanh(mid);
-  OptimizeResult opt = optimize_graph(
-      ctx_.graph_def(), {{y.node, 0}, {mid.node, 0}, {x.node, 0}});
-  FeedMap feeds;
-  feeds[opt.endpoint_map.at({x.node, 0}).node] =
-      Tensor::from_floats(Shape{1}, {2.0f});
-  EXPECT_NEAR(eval(opt, mid, feeds).scalar_value(), 2.0, 1e-6);
-  EXPECT_NEAR(eval(opt, y, feeds).scalar_value(), std::tanh(2.0), 1e-6);
-}
-
-TEST_F(PassesTest, OptionsDisablePasses) {
-  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim});
-  OpRef y = ctx_.tanh(ctx_.relu(ctx_.add(ctx_.scalar(1.0f),
-                                         ctx_.scalar(2.0f))));
-  (void)x;
-  OptimizeOptions options;
-  options.constant_folding = false;
-  options.elementwise_fusion = false;
-  OptimizeResult opt =
-      optimize_graph(ctx_.graph_def(), {{y.node, 0}}, options);
-  EXPECT_EQ(opt.folded, 0);
-  EXPECT_EQ(opt.fused_chains, 0);
-  EXPECT_FLOAT_EQ(eval(opt, y).scalar_value(), std::tanh(3.0f));
 }
 
 // --- per-plan pattern fusion -------------------------------------------------
@@ -241,6 +182,28 @@ TEST_F(PlanFusionTest, KeptEndpointsAreNeverAbsorbed) {
   feeds[x.node] = Tensor::from_floats(Shape{3}, {-1, 0.5f, 2});
   expect_bitwise_equal(eval_fused(fused, mid, feeds), eval_raw(mid, feeds));
   expect_bitwise_equal(eval_fused(fused, y, feeds), eval_raw(y, feeds));
+}
+
+TEST_F(PlanFusionTest, MultiConsumerIntermediateBlocksChainFusion) {
+  // relu(x) feeds two chains: absorbing it into either would orphan the
+  // other consumer, so it stays a step of its own while the neg -> tanh
+  // chain above it still fuses.
+  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim});
+  OpRef mid = ctx_.relu(x);
+  OpRef y1 = ctx_.tanh(ctx_.neg(mid));
+  OpRef y2 = ctx_.exp(mid);
+
+  PlanFusionResult fused =
+      fuse_plan_patterns(ctx_.graph_def(), {{y1.node, 0}, {y2.node, 0}});
+  ASSERT_NE(fused.graph, nullptr);
+  EXPECT_EQ(fused.fused_chains, 1);
+  EXPECT_EQ(fused.steps_saved, 1);
+  EXPECT_EQ(fused.graph->node(fused.endpoint_map.at({mid.node, 0}).node).op,
+            "Relu");
+  FeedMap feeds;
+  feeds[x.node] = Tensor::from_floats(Shape{3}, {-1, 0.5f, 2});
+  expect_bitwise_equal(eval_fused(fused, y1, feeds), eval_raw(y1, feeds));
+  expect_bitwise_equal(eval_fused(fused, y2, feeds), eval_raw(y2, feeds));
 }
 
 TEST_F(PlanFusionTest, StatefulClosureDeclines) {
