@@ -151,8 +151,22 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
     std::shared_ptr<const GraphDef> graph, const std::vector<Endpoint>& fetches,
     const std::vector<int>& feed_nodes, bool fuse_patterns) {
   RLG_REQUIRE(graph != nullptr, "CompiledPlan::compile requires a graph");
+  const int n = graph->num_nodes();
+  for (int id : feed_nodes) {
+    RLG_REQUIRE(id >= 0 && id < n,
+                "feed targets unknown node " << id);
+    RLG_REQUIRE(graph->node(id).op == "Placeholder",
+                "feed target '" << graph->node(id).name
+                                << "' is not a placeholder");
+  }
+  for (const Endpoint& fetch : fetches) {
+    RLG_REQUIRE(fetch.node >= 0 && fetch.node < n,
+                "fetch endpoint references unknown node " << fetch.node);
+  }
   if (fuse_patterns) {
-    PlanFusionResult fused = fuse_plan_patterns(*graph, fetches);
+    // The fused graph holds only the fetched closure and the feeds, so the
+    // plan keeps alive what it runs, not a copy of the whole graph.
+    PlanFusionResult fused = fuse_plan_patterns(*graph, fetches, feed_nodes);
     if (fused.graph != nullptr && fused.steps_saved > 0) {
       std::vector<Endpoint> new_fetches;
       new_fetches.reserve(fetches.size());
@@ -168,15 +182,6 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
           std::shared_ptr<const GraphDef>(std::move(fused.graph)), new_fetches,
           new_feeds, /*fuse_patterns=*/false);
     }
-  }
-  const int n = graph->num_nodes();
-
-  for (int id : feed_nodes) {
-    RLG_REQUIRE(id >= 0 && id < n,
-                "feed targets unknown node " << id);
-    RLG_REQUIRE(graph->node(id).op == "Placeholder",
-                "feed target '" << graph->node(id).name
-                                << "' is not a placeholder");
   }
   std::vector<uint8_t> fed(static_cast<size_t>(n), 0);
   for (int id : feed_nodes) fed[static_cast<size_t>(id)] = 1;
@@ -195,8 +200,6 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
     return deps;
   };
   for (const Endpoint& fetch : fetches) {
-    RLG_REQUIRE(fetch.node >= 0 && fetch.node < n,
-                "fetch endpoint references unknown node " << fetch.node);
     if (state[static_cast<size_t>(fetch.node)] == 2) continue;
     stack.emplace_back(fetch.node, 0);
     state[static_cast<size_t>(fetch.node)] = 1;

@@ -181,7 +181,10 @@ class CompiledPlan {
   // closure first; when it matches (inference-only closures), compilation
   // proceeds on the rewritten graph with fetches/feeds remapped, so the
   // plan dispatches the fused composite kernels instead of the op-per-node
-  // sequence. Fetched values are bitwise identical either way.
+  // sequence. Fetched values are bitwise identical either way. The
+  // rewritten graph the plan then owns is closure-local: the fetched
+  // closure plus the feed placeholders (unused feeds stay tolerated), never
+  // a copy of the whole input graph. Unfused plans share the input graph.
   static std::shared_ptr<CompiledPlan> compile(
       std::shared_ptr<const GraphDef> graph,
       const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
@@ -262,6 +265,11 @@ class CompiledPlan {
     return unused_feed_names_;
   }
   const Counters& counters() const { return counters_; }
+  // Nodes of the graph this plan keeps alive (0 for Builder-assembled
+  // plans, which own only their steps' nodes).
+  size_t graph_num_nodes() const {
+    return graph_ != nullptr ? static_cast<size_t>(graph_->num_nodes()) : 0;
+  }
   // Steps dispatching a fused composite kernel (0 for unfused plans).
   int fused_kernel_steps() const { return fused_kernel_steps_; }
 

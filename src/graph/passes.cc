@@ -33,141 +33,131 @@ const char* pattern_activation(const std::string& op) {
   return nullptr;
 }
 
-OptimizeResult optimize_once(const GraphDef& graph,
-                             const std::vector<Endpoint>& roots,
-                             bool fold_constants) {
-  OptimizeResult result;
-  result.nodes_before = graph.num_nodes();
-
-  // --- liveness: nodes reachable from roots through data + control deps ---
-  std::vector<uint8_t> live(static_cast<size_t>(graph.num_nodes()), 0);
-  std::vector<int> worklist;
-  for (const Endpoint& r : roots) {
-    if (!live[static_cast<size_t>(r.node)]) {
-      live[static_cast<size_t>(r.node)] = 1;
-      worklist.push_back(r.node);
+// Nodes reachable from `roots` over data + control deps, in ascending id
+// order — a topological order, since a node's inputs always precede it.
+// Marks them in `live` (sized to the graph). `expand(id)` says whether the
+// walk continues past a node into its deps.
+template <typename Expand>
+std::vector<int> reachable(const GraphDef& graph,
+                           const std::vector<Endpoint>& roots,
+                           std::vector<uint8_t>& live, Expand expand) {
+  std::vector<int> order;
+  auto visit = [&](int id) {
+    if (!live[static_cast<size_t>(id)]) {
+      live[static_cast<size_t>(id)] = 1;
+      order.push_back(id);
     }
-  }
-  while (!worklist.empty()) {
-    int id = worklist.back();
-    worklist.pop_back();
-    const NodeDef& n = graph.node(id);
-    auto visit = [&](int dep) {
-      if (!live[static_cast<size_t>(dep)]) {
-        live[static_cast<size_t>(dep)] = 1;
-        worklist.push_back(dep);
-      }
-    };
-    for (const Endpoint& e : n.inputs) visit(e.node);
-    for (int c : n.control_inputs) visit(c);
-  }
-
-  // --- rebuild -------------------------------------------------------------
-  auto new_graph = std::make_shared<GraphDef>();
-  const OpRegistry& registry = OpRegistry::instance();
-  std::map<int, int> node_map;  // old id -> new id
-  auto map_endpoint = [&](const Endpoint& e) {
-    auto it = node_map.find(e.node);
-    RLG_CHECK_MSG(it != node_map.end(),
-                  "pass ordering bug: input not yet emitted");
-    return Endpoint{it->second, e.index};
   };
-
-  for (int id = 0; id < graph.num_nodes(); ++id) {
-    if (!live[static_cast<size_t>(id)]) continue;
-    const NodeDef& n = graph.node(id);
-
-    // Constant folding: stateless op, all data inputs are Consts in the new
-    // graph, no control inputs.
-    const OpSchema& schema = registry.lookup(n.op);
-    bool foldable = fold_constants && !schema.stateful &&
-                    n.op != "Const" && n.op != "Placeholder" &&
-                    n.control_inputs.empty() && !n.inputs.empty();
-    if (foldable) {
-      for (const Endpoint& e : n.inputs) {
-        const NodeDef& src = new_graph->node(map_endpoint(e).node);
-        if (src.op != "Const") {
-          foldable = false;
-          break;
-        }
-      }
-    }
-    if (foldable) {
-      KernelContext ctx;
-      ctx.node = &n;
-      ctx.inputs.reserve(n.inputs.size());
-      for (const Endpoint& e : n.inputs) {
-        const NodeDef& src = new_graph->node(map_endpoint(e).node);
-        ctx.inputs.push_back(attr_tensor(src.attrs, "value"));
-      }
-      std::vector<Tensor> values = schema.kernel(ctx);
-      // Multi-output folding would need one Const per output; fold only
-      // single-output nodes to keep the endpoint map simple.
-      if (values.size() == 1) {
-        NodeDef cn;
-        cn.name = n.name + "_folded";
-        cn.op = "Const";
-        cn.attrs["value"] = values[0];
-        cn.out_dtypes = {values[0].dtype()};
-        cn.out_shapes = {values[0].shape()};
-        cn.device = n.device;
-        node_map[id] = new_graph->add_node(std::move(cn));
-        ++result.folded;
-        continue;
-      }
-    }
-
-    // Plain copy with remapped deps.
-    NodeDef copy = n;
-    copy.id = -1;
-    for (Endpoint& e : copy.inputs) e = map_endpoint(e);
-    for (int& c : copy.control_inputs) c = node_map.at(c);
-    node_map[id] = new_graph->add_node(std::move(copy));
+  for (const Endpoint& r : roots) visit(r.node);
+  for (size_t i = 0; i < order.size(); ++i) {
+    int id = order[i];
+    if (!expand(id)) continue;
+    const NodeDef& nd = graph.node(id);
+    for (const Endpoint& e : nd.inputs) visit(e.node);
+    for (int c : nd.control_inputs) visit(c);
   }
-
-  for (const auto& [old_id, new_id] : node_map) {
-    const NodeDef& nn = new_graph->node(new_id);
-    for (int i = 0; i < nn.num_outputs(); ++i) {
-      result.endpoint_map[Endpoint{old_id, i}] = Endpoint{new_id, i};
-    }
-    // Zero-output nodes (control-only roots) stay addressable as output 0.
-    if (nn.num_outputs() == 0) {
-      result.endpoint_map[Endpoint{old_id, 0}] = Endpoint{new_id, 0};
-    }
-  }
-
-  result.graph = std::move(new_graph);
-  result.nodes_after = result.graph->num_nodes();
-  RLG_LOG_DEBUG << "optimize_once: " << result.nodes_before << " -> "
-                << result.nodes_after << " nodes (" << result.folded
-                << " folded)";
-  return result;
+  std::sort(order.begin(), order.end());
+  return order;
 }
+
+// Endpoint map of a rebuild: every output of each emitted node (old id ->
+// new id in `node_map`). Zero-output nodes (control-only roots) stay
+// addressable as output 0.
+std::map<Endpoint, Endpoint> emitted_endpoints(
+    const std::vector<int>& emitted, const std::vector<int>& node_map,
+    const GraphDef& new_graph) {
+  std::map<Endpoint, Endpoint> endpoint_map;
+  for (int old_id : emitted) {
+    int new_id = node_map[static_cast<size_t>(old_id)];
+    int outputs = std::max(1, new_graph.node(new_id).num_outputs());
+    for (int i = 0; i < outputs; ++i) {
+      endpoint_map[Endpoint{old_id, i}] = Endpoint{new_id, i};
+    }
+  }
+  return endpoint_map;
+}
+
 }  // namespace
 
 OptimizeResult optimize_graph(const GraphDef& graph,
                               const std::vector<Endpoint>& roots) {
-  // First pass folds; a second DCE-only pass drops constants orphaned by the
-  // folding.
-  OptimizeResult first = optimize_once(graph, roots, /*fold_constants=*/true);
-  std::vector<Endpoint> remapped_roots;
-  remapped_roots.reserve(roots.size());
-  for (const Endpoint& r : roots) {
-    remapped_roots.push_back(first.endpoint_map.at(r));
-  }
-  OptimizeResult second =
-      optimize_once(*first.graph, remapped_roots, /*fold_constants=*/false);
   OptimizeResult result;
-  result.graph = second.graph;
   result.nodes_before = graph.num_nodes();
-  result.nodes_after = second.nodes_after;
-  result.folded = first.folded;
-  for (const auto& [old_ep, mid_ep] : first.endpoint_map) {
-    auto it = second.endpoint_map.find(mid_ep);
-    if (it != second.endpoint_map.end()) {
-      result.endpoint_map[old_ep] = it->second;
+  const size_t n = static_cast<size_t>(graph.num_nodes());
+  const OpRegistry& registry = OpRegistry::instance();
+
+  // --- fold, decided on the input graph over the nodes the roots reach ----
+  // A stateless single-output node whose data inputs are all constants
+  // (original Consts or nodes folded earlier in this walk) and that has no
+  // control inputs evaluates once here and becomes a Const.
+  std::vector<uint8_t> reached(n, 0);
+  std::map<int, Tensor> folded;  // node id -> folded value
+  auto const_value = [&](int id) -> const Tensor* {
+    auto it = folded.find(id);
+    if (it != folded.end()) return &it->second;
+    const NodeDef& src = graph.node(id);
+    return src.op == "Const" ? &attr_tensor(src.attrs, "value") : nullptr;
+  };
+  for (int id : reachable(graph, roots, reached, [](int) { return true; })) {
+    const NodeDef& nd = graph.node(id);
+    const OpSchema& schema = registry.lookup(nd.op);
+    if (schema.stateful || nd.op == "Const" || nd.op == "Placeholder" ||
+        !nd.control_inputs.empty() || nd.inputs.empty()) {
+      continue;
     }
+    KernelContext ctx;
+    ctx.node = &nd;
+    ctx.inputs.reserve(nd.inputs.size());
+    for (const Endpoint& e : nd.inputs) {
+      const Tensor* value = const_value(e.node);
+      if (value == nullptr) break;
+      ctx.inputs.push_back(*value);
+    }
+    if (ctx.inputs.size() != nd.inputs.size()) continue;
+    std::vector<Tensor> values = schema.kernel(ctx);
+    // Multi-output folding would need one Const per output; fold only
+    // single-output nodes to keep the endpoint map simple.
+    if (values.size() == 1) folded.emplace(id, std::move(values[0]));
   }
+  result.folded = static_cast<int>(folded.size());
+
+  // --- liveness on the folded view: a folded node reads no inputs ---------
+  std::vector<uint8_t> live(n, 0);
+  const std::vector<int> order = reachable(
+      graph, roots, live, [&](int id) { return folded.count(id) == 0; });
+
+  // --- emit once --------------------------------------------------------------
+  auto new_graph = std::make_shared<GraphDef>();
+  std::vector<int> node_map(n, -1);  // old id -> new id
+  for (int id : order) {
+    const NodeDef& nd = graph.node(id);
+    auto fit = folded.find(id);
+    if (fit != folded.end()) {
+      NodeDef cn;
+      cn.name = nd.name + "_folded";
+      cn.op = "Const";
+      cn.out_dtypes = {fit->second.dtype()};
+      cn.out_shapes = {fit->second.shape()};
+      cn.attrs["value"] = std::move(fit->second);
+      cn.device = nd.device;
+      node_map[static_cast<size_t>(id)] = new_graph->add_node(std::move(cn));
+      continue;
+    }
+    NodeDef copy = nd;
+    copy.id = -1;
+    for (Endpoint& e : copy.inputs) {
+      e.node = node_map[static_cast<size_t>(e.node)];
+    }
+    for (int& c : copy.control_inputs) c = node_map[static_cast<size_t>(c)];
+    node_map[static_cast<size_t>(id)] = new_graph->add_node(std::move(copy));
+  }
+
+  result.endpoint_map = emitted_endpoints(order, node_map, *new_graph);
+  result.graph = std::move(new_graph);
+  result.nodes_after = result.graph->num_nodes();
+  RLG_LOG_DEBUG << "optimize_graph: " << result.nodes_before << " -> "
+                << result.nodes_after << " nodes (" << result.folded
+                << " folded)";
   return result;
 }
 
@@ -194,55 +184,40 @@ bool extra_broadcasts_into(const Shape& extra, const Shape& out) {
 }  // namespace
 
 PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
-                                    const std::vector<Endpoint>& keep) {
+                                    const std::vector<Endpoint>& keep,
+                                    const std::vector<int>& feeds) {
   PlanFusionResult result;
-  const int n = graph.num_nodes();
+  const size_t n = static_cast<size_t>(graph.num_nodes());
   const OpRegistry& registry = OpRegistry::instance();
 
   // --- closure of `keep` over data + control deps ------------------------
-  std::vector<uint8_t> live(static_cast<size_t>(n), 0);
-  std::set<int> keep_nodes;
-  std::vector<int> worklist;
-  for (const Endpoint& k : keep) {
-    keep_nodes.insert(k.node);
-    if (!live[static_cast<size_t>(k.node)]) {
-      live[static_cast<size_t>(k.node)] = 1;
-      worklist.push_back(k.node);
-    }
-  }
-  while (!worklist.empty()) {
-    int id = worklist.back();
-    worklist.pop_back();
-    const NodeDef& nd = graph.node(id);
-    auto visit = [&](int dep) {
-      if (!live[static_cast<size_t>(dep)]) {
-        live[static_cast<size_t>(dep)] = 1;
-        worklist.push_back(dep);
-      }
-    };
-    for (const Endpoint& e : nd.inputs) visit(e.node);
-    for (int c : nd.control_inputs) visit(c);
-  }
+  // Everything below walks `closure` only: nodes outside it never run in
+  // this plan, so they neither block a match nor get emitted.
+  std::vector<uint8_t> live(n, 0);
+  const std::vector<int> closure =
+      reachable(graph, keep, live, [](int) { return true; });
+  std::vector<uint8_t> kept(n, 0);
+  for (const Endpoint& k : keep) kept[static_cast<size_t>(k.node)] = 1;
 
   // --- gate: inference plans only ----------------------------------------
   // A closure containing any state writer or RNG draw is a training/acting
   // plan; decline so autodiff-expanded graphs keep their unfused nodes.
-  for (int id = 0; id < n; ++id) {
-    if (!live[static_cast<size_t>(id)]) continue;
+  for (int id : closure) {
     const NodeDef& nd = graph.node(id);
     bool stateful =
         nd.stateful || (registry.contains(nd.op) && registry.lookup(nd.op).stateful);
     if (stateful && nd.op != "Variable") return result;  // graph stays null
   }
 
-  // --- consumer structure over ALL nodes (conservative) ------------------
-  std::vector<int> consumers(static_cast<size_t>(n), 0);
-  std::vector<int> last_consumer(static_cast<size_t>(n), -1);
-  std::vector<int> control_consumers(static_cast<size_t>(n), 0);
-  for (const NodeDef& nd : graph.nodes()) {
+  // --- consumer structure within the closure -----------------------------
+  std::vector<int> consumers(n, 0);
+  std::vector<int> last_consumer(n, -1);
+  std::vector<int> control_consumers(n, 0);
+  for (int id : closure) {
+    const NodeDef& nd = graph.node(id);
     for (const Endpoint& e : nd.inputs) {
       ++consumers[static_cast<size_t>(e.node)];
-      last_consumer[static_cast<size_t>(e.node)] = nd.id;
+      last_consumer[static_cast<size_t>(e.node)] = id;
     }
     for (int c : nd.control_inputs) {
       ++control_consumers[static_cast<size_t>(c)];
@@ -254,10 +229,10 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
     return live[static_cast<size_t>(id)] &&
            consumers[static_cast<size_t>(id)] == 1 &&
            control_consumers[static_cast<size_t>(id)] == 0 &&
-           keep_nodes.count(id) == 0;
+           !kept[static_cast<size_t>(id)];
   };
 
-  std::vector<uint8_t> claimed(static_cast<size_t>(n), 0);
+  std::vector<uint8_t> claimed(n, 0);
 
   // --- dense / conv patterns ---------------------------------------------
   struct Pattern {
@@ -270,10 +245,8 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
   };
   std::map<int, Pattern> patterns;  // terminator id -> pattern
 
-  for (int id = 0; id < n; ++id) {
-    if (!live[static_cast<size_t>(id)] || claimed[static_cast<size_t>(id)]) {
-      continue;
-    }
+  for (int id : closure) {
+    if (claimed[static_cast<size_t>(id)]) continue;
     const NodeDef& add = graph.node(id);
     if (add.op != "Add" || add.inputs.size() != 2 ||
         !add.control_inputs.empty()) {
@@ -316,7 +289,6 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
         const char* act_name = pattern_activation(act.op);
         if (act_name != nullptr && act.control_inputs.empty() &&
             act.inputs.size() == 1 && act.inputs[0] == Endpoint{id, 0} &&
-            live[static_cast<size_t>(cid)] &&
             !claimed[static_cast<size_t>(cid)]) {
           p.terminator = cid;
           p.activation = act_name;
@@ -375,7 +347,7 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
     std::map<int, int> kind;  // node id -> member_kind
   };
   std::map<int, Chain> chain_candidates;
-  for (int id = 0; id < n; ++id) {
+  for (int id : closure) {
     int k0 = member_kind(id);
     if (k0 == -2) continue;
     Chain chain;
@@ -425,8 +397,9 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
     return result;
   }
 
-  // --- rebuild (every node survives; absorbed ones fold into terminators) -
-  std::vector<uint8_t> absorbed(static_cast<size_t>(n), 0);
+  // --- rebuild: the closure plus the plan's feeds; absorbed nodes fold
+  // into their terminators ----------------------------------------------------
+  std::vector<uint8_t> absorbed(n, 0);
   for (const auto& [term, p] : patterns) {
     for (int m : p.members) {
       if (m != term) absorbed[static_cast<size_t>(m)] = 1;
@@ -437,17 +410,26 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
       if (m != term) absorbed[static_cast<size_t>(m)] = 1;
     }
   }
+  // Feed placeholders the closure does not read are emitted too, so the
+  // plan can still accept (and drop) their values.
+  std::vector<int> emitted = closure;
+  for (int f : feeds) {
+    RLG_REQUIRE(f >= 0 && static_cast<size_t>(f) < n,
+                "feed targets unknown node " << f);
+    if (!live[static_cast<size_t>(f)]) {
+      live[static_cast<size_t>(f)] = 1;
+      emitted.push_back(f);
+    }
+  }
+  std::sort(emitted.begin(), emitted.end());
 
   auto new_graph = std::make_shared<GraphDef>();
-  std::map<int, int> node_map;
+  std::vector<int> node_map(n, -1);  // old id -> new id
   auto map_endpoint = [&](const Endpoint& e) {
-    auto it = node_map.find(e.node);
-    RLG_CHECK_MSG(it != node_map.end(),
-                  "fusion pass ordering bug: input not yet emitted");
-    return Endpoint{it->second, e.index};
+    return Endpoint{node_map[static_cast<size_t>(e.node)], e.index};
   };
 
-  for (int id = 0; id < n; ++id) {
+  for (int id : emitted) {
     if (absorbed[static_cast<size_t>(id)]) continue;  // emitted at terminator
     const NodeDef& nd = graph.node(id);
 
@@ -469,7 +451,7 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
       fused.out_shapes = nd.out_shapes;
       fused.device = nd.device;
       int new_id = new_graph->add_node(std::move(fused));
-      for (int m : p.members) node_map[m] = new_id;
+      for (int m : p.members) node_map[static_cast<size_t>(m)] = new_id;
       continue;
     }
 
@@ -501,26 +483,18 @@ PlanFusionResult fuse_plan_patterns(const GraphDef& graph,
       fused.out_shapes = nd.out_shapes;
       fused.device = nd.device;
       int new_id = new_graph->add_node(std::move(fused));
-      for (int m : chain.nodes) node_map[m] = new_id;
+      for (int m : chain.nodes) node_map[static_cast<size_t>(m)] = new_id;
       continue;
     }
 
     NodeDef copy = nd;
     copy.id = -1;
     for (Endpoint& e : copy.inputs) e = map_endpoint(e);
-    for (int& c : copy.control_inputs) c = node_map.at(c);
-    node_map[id] = new_graph->add_node(std::move(copy));
+    for (int& c : copy.control_inputs) c = node_map[static_cast<size_t>(c)];
+    node_map[static_cast<size_t>(id)] = new_graph->add_node(std::move(copy));
   }
 
-  for (const auto& [old_id, new_id] : node_map) {
-    const NodeDef& nn = new_graph->node(new_id);
-    for (int i = 0; i < nn.num_outputs(); ++i) {
-      result.endpoint_map[Endpoint{old_id, i}] = Endpoint{new_id, i};
-    }
-    if (nn.num_outputs() == 0) {
-      result.endpoint_map[Endpoint{old_id, 0}] = Endpoint{new_id, 0};
-    }
-  }
+  result.endpoint_map = emitted_endpoints(emitted, node_map, *new_graph);
   result.graph = std::move(new_graph);
   RLG_LOG_DEBUG << "fuse_plan_patterns: " << result.fused_patterns
                 << " patterns, " << result.fused_chains << " chains, "
