@@ -24,12 +24,10 @@ struct Row {
   int64_t envs;
   double frames_per_second;
   int64_t executor_calls;
-  // Static-backend plan-cache counters (zero elsewhere): compiles include
-  // shape-specialized recompiles, hits are steady-state lookups.
+  // Static-backend plan-cache counters (zero elsewhere).
   int64_t plan_compiles = 0;
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_evictions = 0;
-  int64_t plan_specializations = 0;
   // Fused composite-kernel dispatches (MatMul+bias+activation collapsed to
   // one FusedDense step, etc.); zero when pattern fusion is off or the
   // backend is define-by-run.
@@ -46,8 +44,7 @@ Row run_agent(const std::string& backend, bool fast_path, int64_t num_envs,
   agent.build();
 
   Tensor obs = env.reset();
-  // Warmup (traces the fast path / compiles the specialized batch-N plan
-  // on the first call).
+  // Warmup (traces the fast path on the first call).
   for (int i = 0; i < 5; ++i) {
     Tensor actions = agent.get_actions(obs);
     obs = env.step(actions).observations;
@@ -71,7 +68,6 @@ Row run_agent(const std::string& backend, bool fast_path, int64_t num_envs,
     row.plan_compiles = session->plan_compiles();
     row.plan_cache_hits = session->plan_cache_hits();
     row.plan_cache_evictions = session->plan_cache_evictions();
-    row.plan_specializations = session->plan_specializations();
   }
   row.fused_dispatches = agent.executor().fused_dispatches();
   return row;
@@ -110,7 +106,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%-26s %8s %14s %10s %8s %s\n", "implementation", "envs",
               "env_frames/s", "exec_calls", "fused",
-              "plan compiles/hits/evict/spec");
+              "plan compiles/hits/evict");
   for (int64_t envs : env_counts) {
     std::vector<Row> rows{
         run_agent("static", true, envs, seconds),
@@ -119,15 +115,14 @@ int main(int argc, char** argv) {
         run_hand_tuned(envs, seconds),
     };
     for (const Row& r : rows) {
-      std::printf("%-26s %8lld %14.0f %10lld %8lld %lld/%lld/%lld/%lld\n",
+      std::printf("%-26s %8lld %14.0f %10lld %8lld %lld/%lld/%lld\n",
                   r.impl.c_str(), static_cast<long long>(r.envs),
                   r.frames_per_second,
                   static_cast<long long>(r.executor_calls),
                   static_cast<long long>(r.fused_dispatches),
                   static_cast<long long>(r.plan_compiles),
                   static_cast<long long>(r.plan_cache_hits),
-                  static_cast<long long>(r.plan_cache_evictions),
-                  static_cast<long long>(r.plan_specializations));
+                  static_cast<long long>(r.plan_cache_evictions));
       Json params;
       params["impl"] = Json(r.impl);
       params["envs"] = Json(r.envs);
@@ -136,7 +131,6 @@ int main(int argc, char** argv) {
       params["plan_compiles"] = Json(r.plan_compiles);
       params["plan_cache_hits"] = Json(r.plan_cache_hits);
       params["plan_cache_evictions"] = Json(r.plan_cache_evictions);
-      params["plan_specializations"] = Json(r.plan_specializations);
       reporter.record("act_fps", r.frames_per_second, "env_frames/s",
                       std::move(params));
     }

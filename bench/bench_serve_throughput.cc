@@ -12,10 +12,9 @@
 // (load_harness.h) offers Poisson arrivals at fixed rates spanning the
 // measured closed-loop capacity — below the knee, at it, and past it —
 // and reports offered vs attained QPS, per-tenant p50/p99, and shed/
-// timeout counts per point. Steady-state serving must still ride the PR 7
-// shape-specialized zero-alloc path: the sweep asserts the serving
-// replica's plan cache sees NO new compiles after warmup (every batched
-// forward hits a cached specialized plan).
+// timeout counts per point. Steady-state serving must run the build-time
+// plan at every batch size: the sweep asserts the serving replica compiles
+// NO new plans after warmup.
 #include <cstdio>
 #include <deque>
 #include <future>
@@ -68,7 +67,7 @@ std::vector<Tensor> make_observations(int n) {
 }
 
 // One-request-at-a-time baseline: batch-1 greedy act in a closed loop on
-// the shape-specialized (static arena) plan. The greedy act plan is
+// the build-time plan. The greedy act plan is
 // fetch-only, so pattern fusion engages on it; `fused_dispatches`
 // (out-param) counts the composite-kernel steps it dispatched instead of
 // unfused op chains.
@@ -77,7 +76,7 @@ double single_request_qps(double seconds, int64_t* fused_dispatches) {
   DQNAgent agent(serve_agent_config(), obs_space, IntBox(kNumActions));
   agent.build();
   std::vector<Tensor> obs = make_observations(64);
-  for (int i = 0; i < 32; ++i) {  // warmup: compile + cache the act plan
+  for (int i = 0; i < 32; ++i) {  // warmup: pool buffers reach steady state
     (void)agent.get_actions(obs[0].reshaped(Shape{1, kObsDim}), false);
   }
   int64_t requests = 0;
@@ -99,7 +98,6 @@ serve::PolicyServerConfig server_config(int64_t max_batch) {
   // batch completes; anything longer is idle time.
   cfg.batcher.max_queue_delay = 100us;
   cfg.batcher.queue_capacity = 4096;
-  cfg.pad_batches = true;
   return cfg;
 }
 
@@ -225,8 +223,8 @@ int main(int argc, char** argv) {
 
   SpacePtr obs_space = FloatBox(Shape{kObsDim});
   // Factory-built engines, pointers retained: after the sweep we read the
-  // serving replica's plan-cache counters to confirm the steady state still
-  // rides the specialized zero-alloc path.
+  // serving replica's plan-compile counter to confirm the steady state runs
+  // the build-time plan at every batch size.
   std::vector<serve::AgentServingEngine*> engines;
   std::mutex engines_mu;
   Json agent_cfg = serve_agent_config();
@@ -236,10 +234,6 @@ int main(int argc, char** argv) {
   // queueing into the next sweep point (exercises both shed and timeout).
   sweep_cfg.default_deadline = std::chrono::microseconds(50000);
   sweep_cfg.batcher.queue_capacity = 1024;
-  // One padding bucket: every flush pads to 64, so exactly one specialized
-  // batch-64 plan exists and the steady-state no-new-compiles check cannot
-  // be tripped by a load level visiting a bucket the warmup never saw.
-  sweep_cfg.batch_buckets = {64};
   serve::PolicyServer server(
       [&](int) {
         auto engine = std::make_unique<serve::AgentServingEngine>(
@@ -257,20 +251,18 @@ int main(int argc, char** argv) {
   load.streams = bench::heavy_tail_streams({"alpha", "beta", "gamma"});
   load.collector_threads = 2;
 
-  // Warmup point: compiles the specialized batch-bucket plans.
+  // Warmup point: builds the serving replica.
   load.offered_qps = std::max(100.0, 0.1 * capacity);
   load.seed = 1;
   (void)bench::run_open_loop(server, load);
 
   // Plan-cache baseline after warmup: steady state must add NO compiles.
-  int64_t compiles_before = 0, hits_before = 0, specializations = 0;
+  int64_t compiles_before = 0;
   {
     std::lock_guard<std::mutex> lock(engines_mu);
     for (serve::AgentServingEngine* e : engines) {
       if (Session* session = e->agent().executor().session()) {
         compiles_before += session->plan_compiles();
-        hits_before += session->plan_cache_hits();
-        specializations += session->plan_specializations();
       }
     }
   }
@@ -312,35 +304,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  int64_t compiles_after = 0, hits_after = 0;
+  int64_t compiles_after = 0;
   {
     std::lock_guard<std::mutex> lock(engines_mu);
     for (serve::AgentServingEngine* e : engines) {
       if (Session* session = e->agent().executor().session()) {
         compiles_after += session->plan_compiles();
-        hits_after += session->plan_cache_hits();
       }
     }
   }
   server.shutdown();
   const int64_t steady_compiles = compiles_after - compiles_before;
-  const int64_t steady_hits = hits_after - hits_before;
-  std::printf(
-      "steady-state plan cache: %lld new compiles (want 0), %lld hits, "
-      "%lld specialized plans live\n",
-      static_cast<long long>(steady_compiles),
-      static_cast<long long>(steady_hits),
-      static_cast<long long>(specializations));
+  std::printf("steady-state plan cache: %lld new compiles (want 0)\n",
+              static_cast<long long>(steady_compiles));
   reporter.record("steady_state_plan_compiles",
                   static_cast<double>(steady_compiles), "compiles");
-  reporter.record("steady_state_plan_cache_hits",
-                  static_cast<double>(steady_hits), "hits");
-  reporter.record("plan_specializations",
-                  static_cast<double>(specializations), "plans");
   if (steady_compiles != 0) {
     std::fprintf(stderr,
-                 "FAIL: steady-state serving compiled %lld new plans — the "
-                 "specialized zero-alloc path regressed\n",
+                 "FAIL: steady-state serving compiled %lld new plans — calls "
+                 "no longer run the build-time plan\n",
                  static_cast<long long>(steady_compiles));
     return 1;
   }

@@ -119,8 +119,6 @@ const BuildStats& GraphExecutor::build() {
       feed_nodes.reserve(api.placeholders.size());
       for (const OpRef& p : api.placeholders) feed_nodes.push_back(p.node);
       entry.prepared = session_->prepare(fetches, feed_nodes);
-      entry.fetches = std::move(fetches);
-      entry.feed_nodes = std::move(feed_nodes);
     }
     handle_ids_[name] = static_cast<int>(entries_.size());
     entries_.push_back(std::move(entry));
@@ -167,20 +165,7 @@ std::vector<Tensor> GraphExecutor::execute(ApiHandle handle,
 std::vector<Tensor> GraphExecutor::execute_entry(
     ApiEntry& entry, const std::vector<Tensor>& inputs) {
   if (!entry.prepared) return execute_imperative(entry, inputs);
-  // Non-batchable APIs (fixed signatures, no feeds) gain nothing from
-  // specialization and keep the dynamic plan.
-  if (inputs.empty() || !entry.prepared->plan().feeds_batchable()) {
-    return entry.prepared->run(inputs);
-  }
-  // Batchable APIs run a plan specialized on the concrete feed shapes (a
-  // static memory plan for this exact batch size). The session's LRU is the
-  // only plan cache: one lookup per call, one compile per new signature.
-  std::vector<Shape> shapes;
-  shapes.reserve(inputs.size());
-  for (const Tensor& t : inputs) shapes.push_back(t.shape());
-  return session_
-      ->prepare_specialized(entry.fetches, entry.feed_nodes, shapes)
-      ->run(inputs);
+  return entry.prepared->run(inputs);
 }
 
 std::vector<Tensor> GraphExecutor::execute_imperative(

@@ -3,9 +3,8 @@
 // and serves execute(api, inputs) requests:
 //
 //  * static backend — every API is compiled to a Session::PreparedCall at
-//    build time (fetches + placeholder feed order resolved once). Batchable
-//    calls run the plan specialized on their concrete feed shapes, looked
-//    up in the session's plan cache; other calls run the build-time plan.
+//    build time (fetches + placeholder feed order resolved once), and every
+//    call runs that plan, whatever its batch size.
 //  * define-by-run backend — re-dispatches the call chain of graph functions
 //    through the component graph; when edge contraction succeeds, the
 //    contracted program is lowered onto the same compiled-plan layer and
@@ -118,10 +117,6 @@ class GraphExecutor {
     const BuiltApi* api = nullptr;
     // Static backend: the compiled plan call (fetches + feed order baked).
     std::shared_ptr<Session::PreparedCall> prepared;
-    // The API's fetch/feed resolution, kept so specialized plans can be
-    // looked up in (or compiled into) the session cache per call.
-    std::vector<Endpoint> fetches;
-    std::vector<int> feed_nodes;
     // Define-by-run: the contracted program once a dispatch traced it.
     FastPathProgram fast_path;
     bool traced = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -71,55 +70,6 @@ void RunArena::unref(int slot) {
 void RunArena::end_run() {
   slots_.assign(slots_.size(), std::nullopt);
   live_.store(0, std::memory_order_relaxed);
-}
-
-void RunArena::begin_planned(const ArenaPlan& plan) {
-  const size_t needed = plan.total_bytes == 0 ? 1 : plan.total_bytes;
-  // The arena block and the per-block storage handles persist across runs:
-  // steady-state planned execution re-issues the same handles with zero
-  // allocations. Escapes are policed per block in take_block() — a tensor
-  // from a previous run that is still alive keeps that block's use_count
-  // elevated, so only its block falls back to the pool, and the arena
-  // itself is never reallocated. A plan change or growth invalidates the
-  // cached offsets, so only then do we detach and start fresh (escaped
-  // tensors keep the old block alive via their deleters).
-  if (plan_block_ == nullptr || plan_capacity_ < needed ||
-      planned_for_ != &plan) {
-    plan_block_ = std::shared_ptr<void>(::operator new(needed),
-                                        [](void* p) { ::operator delete(p); });
-    plan_capacity_ = needed;
-    planned_for_ = &plan;
-    ++plan_block_allocs_;
-    block_storage_.clear();
-    block_storage_.resize(plan.blocks.size());
-  }
-}
-
-std::shared_ptr<void> RunArena::take_block(int id, const ArenaPlan& plan) {
-  std::shared_ptr<void>& storage = block_storage_[static_cast<size_t>(id)];
-  if (storage != nullptr) {
-    if (storage.use_count() > 1) {
-      // The previous tenant escaped its planned lifetime (an aliasing
-      // kernel — Identity, Reshape — handed its buffer to a longer-lived
-      // slot). Withhold the range; the caller's allocation goes to the
-      // pool and nothing ever overwrites live data.
-      ++alias_fallbacks_;
-      return nullptr;
-    }
-    return storage;
-  }
-  // A dedicated control block per range: the no-op deleter pins the
-  // contiguous arena allocation, and use_count() tracks this range's
-  // references alone (an aliased shared_ptr would share the arena's count).
-  storage = std::shared_ptr<void>(
-      static_cast<char*>(plan_block_.get()) + plan.blocks[static_cast<size_t>(id)].offset,
-      [hold = plan_block_](void*) {});
-  return storage;
-}
-
-void RunArena::end_planned() {
-  // Handles stay cached for the next run (see begin_planned). Dropping
-  // them here would force a control-block allocation per block per run.
 }
 
 // --- purity checking --------------------------------------------------------
@@ -304,29 +254,9 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
   plan->finalize_schedule(control_edges);
   // Whether the leading feed dimension is a meaningful batch count: every
   // feed accepts an arbitrary leading extent AND feed 0 is actually read by
-  // the fetched subgraph. Decided here, against the declared (partial)
-  // signature, so it survives specialization tightening the shapes.
+  // the fetched subgraph.
   plan->counts_batch_ = plan->feeds_batchable() && !plan->feed_slots_.empty() &&
                         plan->feed_slots_[0] >= 0;
-  return plan;
-}
-
-std::shared_ptr<CompiledPlan> CompiledPlan::compile_specialized(
-    std::shared_ptr<const GraphDef> graph, const std::vector<Endpoint>& fetches,
-    const std::vector<int>& feed_nodes, const std::vector<Shape>& feed_shapes,
-    bool fuse_patterns) {
-  std::shared_ptr<CompiledPlan> plan =
-      compile(std::move(graph), fetches, feed_nodes, fuse_patterns);
-  if (feed_shapes.size() != plan->feed_slots_.size()) return nullptr;
-  for (size_t i = 0; i < feed_shapes.size(); ++i) {
-    if (!feed_shapes[i].fully_specified() ||
-        !plan->feed_shapes_[i].matches(feed_shapes[i])) {
-      return nullptr;  // caller keeps the dynamic plan
-    }
-  }
-  plan->feed_shapes_ = feed_shapes;  // exact per-run validation from now on
-  plan->specialized_ = true;
-  plan->build_arena_plan();
   return plan;
 }
 
@@ -502,16 +432,8 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
   // Inter-op dispatch: the parallel scheduler only pays off when the step
   // DAG actually has width and the process has pool threads. max_width_ is
   // the compile-time bound, so chains (and RLGRAPH_NUM_THREADS=1) take the
-  // zero-overhead serial loop. The static arena plan is valid only under
-  // the serial schedule (its lifetime intervals assume steps retire in
-  // order), so parallel runs of a specialized plan use the pool as before.
-  const bool parallel =
-      max_width_ > 1 && steps_.size() >= 4 && global_parallelism() > 1;
-  const bool planned = arena_plan_ != nullptr && !parallel;
-  if (planned) {
-    arena.begin_planned(*arena_plan_);
-    execute_planned(arena, variables, rng);
-  } else if (parallel) {
+  // zero-overhead serial loop.
+  if (max_width_ > 1 && steps_.size() >= 4 && global_parallelism() > 1) {
     execute_parallel(arena, variables, rng);
   } else {
     execute_serial(arena, variables, rng);
@@ -521,10 +443,6 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
   fetched.reserve(fetch_slots_.size());
   for (int slot : fetch_slots_) fetched.push_back(arena.get(slot));
   arena.end_run();
-  if (planned) {
-    arena.end_planned();
-    counters_.planned_runs.fetch_add(1, std::memory_order_relaxed);
-  }
 
   counters_.runs.fetch_add(1, std::memory_order_relaxed);
   counters_.nodes_executed.fetch_add(static_cast<int64_t>(steps_.size()),
@@ -594,9 +512,8 @@ void CompiledPlan::run_step(const Step& step, KernelContext& ctx,
               initial_refs_[static_cast<size_t>(step.out_base + j)]);
   }
   for (int slot : step.input_slots) arena.unref(slot);
-  // Release the input handles now, not on the next step's clear(): a
-  // dead slot's buffer must be reference-free before the planned path
-  // stages it for the next tenant (and the pool path recycles sooner too).
+  // Release the input handles now, not on the next step's clear(), so a
+  // dead slot's buffer returns to the pool before the next step allocates.
   ctx.inputs.clear();
 }
 
@@ -607,186 +524,6 @@ void CompiledPlan::execute_serial(RunArena& arena, VariableStore* variables,
   ctx.variables = variables;
   ctx.rng = rng;
   for (const Step& step : steps_) run_step(step, ctx, arena, check_purity);
-}
-
-void CompiledPlan::execute_planned(RunArena& arena, VariableStore* variables,
-                                   Rng* rng) const {
-  const ArenaPlan& plan = *arena_plan_;
-  const bool check_purity = arena.check_kernel_purity();
-  KernelContext ctx;
-  ctx.variables = variables;
-  ctx.rng = rng;
-  // One scope for the whole run: reset() per step keeps the entry vector's
-  // capacity, so steady state stages ranges without allocating.
-  PlannedAllocScope scope;
-  for (size_t i = 0; i < steps_.size(); ++i) {
-    scope.reset();  // stale ranges must never leak into the next step
-    const int begin = plan.step_begin[i];
-    const int end = plan.step_begin[i + 1];
-    // Stage this step's preplanned ranges; the kernel's output allocations
-    // consume them by exact byte size. Ranges a hazard check withholds (or
-    // that the kernel never requests — e.g. an aliasing kernel returning
-    // its input) are simply dropped at the next reset.
-    for (int a = begin; a < end; ++a) {
-      const ArenaPlan::StepAlloc& alloc =
-          plan.step_allocs[static_cast<size_t>(a)];
-      if (std::shared_ptr<void> storage = arena.take_block(alloc.block, plan)) {
-        scope.add(alloc.bytes, std::move(storage));
-      }
-    }
-    run_step(steps_[i], ctx, arena, check_purity);
-  }
-}
-
-// Shape-specialization pass + lifetime-interval arena planner.
-//
-// Pass 1 propagates the concrete feed shapes through the step DAG with each
-// op's registered shape function. Resolution is best-effort: an op whose
-// shape function throws (value-dependent shapes), an unregistered custom
-// op, or any not-fully-specified result leaves that step's outputs unknown,
-// and downstream steps consuming them stay unknown too.
-//
-// Pass 2 assigns every output of a fully resolved step a byte range inside
-// one contiguous arena. Ranges are recycled by exact byte size — the same
-// key the allocator hook matches on — and a range is reusable once the
-// producing step runs strictly after the previous tenant's last consumer.
-// Outputs of equal size within a single step are interchangeable (kernels
-// allocate outputs in unspecified order), so their reuse point is the
-// latest last-use of the group. Steps with ANY unresolved output get no
-// planned ranges at all: a planned range could otherwise be stolen by an
-// unplanned same-size allocation and outlive its interval.
-void CompiledPlan::build_arena_plan() {
-  arena_plan_.reset();
-  if (steps_.empty()) return;
-
-  struct SlotInfo {
-    DType dtype = DType::kFloat32;
-    Shape shape;
-    bool known = false;     // concrete dtype+shape available
-    bool external = false;  // storage arrives from outside (feed/const)
-  };
-  std::vector<SlotInfo> slots(num_slots_);
-  for (size_t i = 0; i < feed_slots_.size(); ++i) {
-    if (feed_slots_[i] < 0) continue;
-    SlotInfo& s = slots[static_cast<size_t>(feed_slots_[i])];
-    s.dtype = feed_dtypes_[i];
-    s.shape = feed_shapes_[i];
-    s.known = s.shape.fully_specified();
-    s.external = true;
-  }
-  for (const auto& [slot, value] : baked_consts_) {
-    SlotInfo& s = slots[static_cast<size_t>(slot)];
-    s.dtype = value.dtype();
-    s.shape = value.shape();
-    s.known = true;
-    s.external = true;
-  }
-
-  const OpRegistry& registry = OpRegistry::instance();
-  std::vector<uint8_t> step_resolved(steps_.size(), 0);
-  for (size_t i = 0; i < steps_.size(); ++i) {
-    const Step& step = steps_[i];
-    ShapeInferenceContext ctx;
-    ctx.node = step.node;
-    bool inputs_known = true;
-    for (int s : step.input_slots) {
-      const SlotInfo& in = slots[static_cast<size_t>(s)];
-      if (!in.known) {
-        inputs_known = false;
-        break;
-      }
-      ctx.input_dtypes.push_back(in.dtype);
-      ctx.input_shapes.push_back(in.shape);
-    }
-    if (!inputs_known || !registry.contains(step.node->op)) continue;
-    OpSignature sig;
-    try {
-      sig = registry.lookup(step.node->op).shape_fn(ctx);
-    } catch (const std::exception&) {
-      continue;  // value-dependent or unsupported: outputs stay unknown
-    }
-    if (static_cast<int>(sig.shapes.size()) != step.num_outputs) continue;
-    bool all_specified = true;
-    for (const Shape& s : sig.shapes) {
-      if (!s.fully_specified()) all_specified = false;
-    }
-    if (!all_specified) continue;
-    for (int j = 0; j < step.num_outputs; ++j) {
-      SlotInfo& out = slots[static_cast<size_t>(step.out_base + j)];
-      out.dtype = sig.dtypes[static_cast<size_t>(j)];
-      out.shape = sig.shapes[static_cast<size_t>(j)];
-      out.known = true;
-      out.external = false;
-    }
-    step_resolved[i] = 1;
-  }
-
-  // Lifetime intervals: a slot lives from its producing step to its last
-  // consuming step; fetched slots live past the final step (their storage
-  // leaves the run, so their ranges are never recycled within it).
-  std::vector<int> last_use(num_slots_, -1);
-  for (size_t i = 0; i < steps_.size(); ++i) {
-    for (int s : steps_[i].input_slots) {
-      last_use[static_cast<size_t>(s)] =
-          std::max(last_use[static_cast<size_t>(s)], static_cast<int>(i));
-    }
-  }
-  for (int s : fetch_slots_) {
-    last_use[static_cast<size_t>(s)] = static_cast<int>(steps_.size());
-  }
-
-  auto plan = std::make_unique<ArenaPlan>();
-  plan->step_begin.assign(steps_.size() + 1, 0);
-  struct BlockState {
-    size_t bytes = 0;
-    int free_after = -1;  // last step index that may read the block
-  };
-  std::vector<BlockState> block_states;
-  constexpr size_t kAlign = 64;
-  for (size_t i = 0; i < steps_.size(); ++i) {
-    plan->step_begin[i] = static_cast<int>(plan->step_allocs.size());
-    if (!step_resolved[i]) continue;
-    const Step& step = steps_[i];
-    // Interchangeability: equal-size outputs of this step share the latest
-    // last-use of the group (see the function comment).
-    std::map<size_t, int> group_end;
-    std::vector<size_t> out_bytes(static_cast<size_t>(step.num_outputs));
-    for (int j = 0; j < step.num_outputs; ++j) {
-      const SlotInfo& out = slots[static_cast<size_t>(step.out_base + j)];
-      size_t bytes = static_cast<size_t>(out.shape.num_elements()) *
-                     dtype_size(out.dtype);
-      if (bytes == 0) bytes = 1;  // mirror the allocator's 0-byte clamp
-      out_bytes[static_cast<size_t>(j)] = bytes;
-      int end = last_use[static_cast<size_t>(step.out_base + j)];
-      if (end < static_cast<int>(i)) end = static_cast<int>(i);  // unconsumed
-      auto [it, inserted] = group_end.emplace(bytes, end);
-      if (!inserted) it->second = std::max(it->second, end);
-    }
-    for (int j = 0; j < step.num_outputs; ++j) {
-      const size_t bytes = out_bytes[static_cast<size_t>(j)];
-      const int end = group_end[bytes];
-      int id = -1;
-      for (size_t b = 0; b < block_states.size(); ++b) {
-        if (block_states[b].bytes == bytes &&
-            block_states[b].free_after < static_cast<int>(i)) {
-          id = static_cast<int>(b);
-          break;
-        }
-      }
-      if (id < 0) {
-        id = static_cast<int>(block_states.size());
-        block_states.push_back(BlockState{bytes, -1});
-        plan->blocks.push_back(ArenaPlan::Block{plan->total_bytes, bytes});
-        plan->total_bytes += (bytes + kAlign - 1) / kAlign * kAlign;
-      }
-      block_states[static_cast<size_t>(id)].free_after = end;
-      plan->step_allocs.push_back(ArenaPlan::StepAlloc{id, bytes});
-      ++plan->planned_slots;
-    }
-  }
-  plan->step_begin[steps_.size()] = static_cast<int>(plan->step_allocs.size());
-  if (plan->planned_slots == 0) return;  // nothing resolved: stay dynamic
-  arena_plan_ = std::move(plan);
 }
 
 // Shared state of one parallel plan run. Pool helpers hold it via

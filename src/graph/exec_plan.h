@@ -24,35 +24,6 @@
 
 namespace rlgraph {
 
-// Static memory plan for a shape-specialized CompiledPlan: once every
-// value slot's concrete shape is known at compile time, each kernel output
-// is assigned a byte range inside one contiguous per-arena block, computed
-// from last-use lifetime intervals (two slots share a range only when the
-// producer of the second runs strictly after the last consumer of the
-// first). Steady-state execution then serves output allocations by handing
-// out preplanned ranges (see PlannedAllocScope) — no BufferPool traffic on
-// the hot path. Blocks are matched to allocations by exact byte size, the
-// same key the pool's free lists use.
-struct ArenaPlan {
-  struct Block {
-    size_t offset = 0;
-    size_t bytes = 0;  // exact allocation size (the alloc-request match key)
-  };
-  struct StepAlloc {
-    int block = -1;
-    size_t bytes = 0;  // == blocks[block].bytes
-  };
-  std::vector<Block> blocks;
-  // Planned outputs flattened across steps; step s owns the half-open range
-  // [step_begin[s], step_begin[s+1]). Steps with any output whose shape
-  // could not be resolved get an empty range (their outputs use the pool).
-  std::vector<StepAlloc> step_allocs;
-  std::vector<int> step_begin;
-  size_t total_bytes = 0;
-  // How many value slots received a planned range (stats/tests).
-  size_t planned_slots = 0;
-};
-
 // Reusable per-run state for one plan: the dense value-slot table, live
 // refcounts, and the buffer pool serving kernel allocations. An arena is
 // used by at most one run at a time (Session keeps a small pool per plan),
@@ -75,29 +46,6 @@ class RunArena {
   void unref(int slot);
   void end_run();
 
-  // --- planned-arena state (shape-specialized plans) ------------------------
-  // Ensure the contiguous block backing `plan` exists and is exclusively
-  // ours. Escaped references from a previous run — fetched tensors or
-  // variable/component snapshots still alive somewhere — force a fresh
-  // block (the old one frees when its last reference dies), so reuse is
-  // always safe no matter how long a caller holds a fetched tensor.
-  void begin_planned(const ArenaPlan& plan);
-  // Hand out planned block `id` for the current run. Returns nullptr (and
-  // counts an alias fallback) when the block's previous tenant is still
-  // referenced — e.g. an Identity/Reshape kernel aliased it into a
-  // longer-lived value — in which case the caller simply lets the
-  // allocation fall through to the pool.
-  std::shared_ptr<void> take_block(int id, const ArenaPlan& plan);
-  // End-of-run hook. Handles persist across runs (steady state re-issues
-  // them allocation-free); escaped tensors keep their block flagged via
-  // use_count until they die.
-  void end_planned();
-  // Fresh contiguous-block allocations (1 on first use; more only when a
-  // prior run's values escaped or the plan grew).
-  int64_t arena_block_allocs() const { return plan_block_allocs_; }
-  // Planned ranges withheld because a previous tenant was still alive.
-  int64_t arena_alias_fallbacks() const { return alias_fallbacks_; }
-
   int64_t live_slots() const { return live_.load(std::memory_order_relaxed); }
   // High-water mark of simultaneously live slots in the most recent
   // (or current) run — what the eager-release tests assert on.
@@ -119,17 +67,6 @@ class RunArena {
   std::atomic<int64_t> peak_{0};
   bool check_purity_;
   BufferPool pool_;
-
-  // Planned-arena backing. Each block id gets its own shared_ptr control
-  // block whose deleter pins `plan_block_`, so use_count() tracks that
-  // block's live references alone — the within-run alias-hazard check and
-  // the across-run escape check both read it.
-  std::shared_ptr<void> plan_block_;
-  size_t plan_capacity_ = 0;
-  const ArenaPlan* planned_for_ = nullptr;  // offsets cached for this plan
-  std::vector<std::shared_ptr<void>> block_storage_;
-  int64_t plan_block_allocs_ = 0;
-  int64_t alias_fallbacks_ = 0;
 };
 
 class CompiledPlan {
@@ -160,10 +97,6 @@ class CompiledPlan {
     // the mean effective batch size. Only counted when the plan is
     // batchable and feed 0 is actually consumed by the fetched subgraph.
     std::atomic<int64_t> batch_elements{0};
-    // Runs that executed through the static arena plan (serial path of a
-    // shape-specialized plan); runs - planned_runs took the dynamic
-    // pool-allocating path.
-    std::atomic<int64_t> planned_runs{0};
     // Fused-composite kernel dispatches (FusedDense / FusedConv2D /
     // FusedElementwise steps) accumulated over all runs.
     std::atomic<int64_t> fused_dispatches{0};
@@ -189,20 +122,6 @@ class CompiledPlan {
       std::shared_ptr<const GraphDef> graph,
       const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
       bool fuse_patterns = false);
-
-  // Compile specialized on concrete feed shapes (one shape per feed node,
-  // fully specified — in particular a concrete leading batch dimension N).
-  // The feed signature is tightened to the exact shapes, a shape-inference
-  // pass propagates them through the step DAG, and every resolved kernel
-  // output gets a static arena range (see ArenaPlan) so steady-state serial
-  // runs bypass the BufferPool entirely. Returns nullptr when the shapes do
-  // not match the plan's declared feed signature — the caller falls back to
-  // the dynamic plan. Shape inference failing for part of the DAG is not an
-  // error: unresolved steps simply keep allocating from the pool.
-  static std::shared_ptr<CompiledPlan> compile_specialized(
-      std::shared_ptr<const GraphDef> graph,
-      const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-      const std::vector<Shape>& feed_shapes, bool fuse_patterns = false);
 
   // Assembles a plan directly from lowered steps (the fast-path recorder's
   // route into this layer; also used by tests).
@@ -253,13 +172,6 @@ class CompiledPlan {
   // coalesces requests along the leading dimension. Conservatively false
   // for Builder-assembled plans, which carry no feed signatures.
   bool feeds_batchable() const;
-  // True for plans compiled via compile_specialized: the feed signature is
-  // exact (concrete shapes), so runs validate against the specialized
-  // shapes and a mismatching batch throws instead of silently running.
-  bool specialized() const { return specialized_; }
-  // Non-null when specialization produced a static memory plan; serial
-  // runs then place kernel outputs at the preplanned arena offsets.
-  const ArenaPlan* arena_plan() const { return arena_plan_.get(); }
   // Feed placeholders not reachable from the fetches (values are dropped).
   const std::vector<std::string>& unused_feed_names() const {
     return unused_feed_names_;
@@ -297,16 +209,6 @@ class CompiledPlan {
                       Rng* rng) const;
   void execute_parallel(RunArena& arena, VariableStore* variables,
                         Rng* rng) const;
-  // Serial loop with the arena plan active: each step's planned output
-  // ranges are installed in a PlannedAllocScope before its kernel runs.
-  void execute_planned(RunArena& arena, VariableStore* variables,
-                       Rng* rng) const;
-
-  // Shape-specialization pass: propagate the (now concrete) feed shapes
-  // through the step DAG via each op's registered shape function, then run
-  // the lifetime-interval planner over every fully resolved slot. Partial
-  // resolution is fine; a failed pass just leaves arena_plan_ null.
-  void build_arena_plan();
 
   std::shared_ptr<const GraphDef> graph_;  // keeps Step::node alive
   std::deque<NodeDef> owned_nodes_;        // Builder-made plans own theirs
@@ -324,12 +226,9 @@ class CompiledPlan {
   int max_width_ = 1;
   size_t num_slots_ = 0;
   int fused_kernel_steps_ = 0;
-  bool specialized_ = false;
   // Whether the leading dim of feed 0 is a batch count worth accumulating
-  // into Counters::batch_elements (decided against the declared signature
-  // at compile time, before specialization makes the shapes concrete).
+  // into Counters::batch_elements (decided at compile time).
   bool counts_batch_ = false;
-  std::unique_ptr<ArenaPlan> arena_plan_;
   mutable Counters counters_;
 };
 

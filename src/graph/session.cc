@@ -1,6 +1,5 @@
 #include "graph/session.h"
 
-#include <set>
 #include <utility>
 
 #include "util/errors.h"
@@ -69,22 +68,6 @@ int64_t Session::PreparedCall::bytes_allocated() const {
   return total;
 }
 
-int64_t Session::PreparedCall::arena_block_allocs() const {
-  std::lock_guard<std::mutex> lock(arenas_mutex_);
-  int64_t total = 0;
-  for (const auto& arena : free_arenas_) total += arena->arena_block_allocs();
-  return total;
-}
-
-int64_t Session::PreparedCall::arena_alias_fallbacks() const {
-  std::lock_guard<std::mutex> lock(arenas_mutex_);
-  int64_t total = 0;
-  for (const auto& arena : free_arenas_) {
-    total += arena->arena_alias_fallbacks();
-  }
-  return total;
-}
-
 void Session::PreparedCall::set_check_kernel_purity(bool on) {
   std::lock_guard<std::mutex> lock(arenas_mutex_);
   for (auto& arena : free_arenas_) arena->set_check_kernel_purity(on);
@@ -138,7 +121,7 @@ size_t Session::plan_cache_size() const {
 
 std::shared_ptr<Session::PreparedCall> Session::prepare(
     const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes) {
-  PlanKey key{fetches, feed_nodes, {}};
+  PlanKey key{fetches, feed_nodes};
   if (std::shared_ptr<PreparedCall> hit = cache_lookup(key)) return hit;
   // Compile outside the lock (may be slow); first writer wins on a race.
   trace::TraceSpan compile_span("session", "session/compile");
@@ -149,45 +132,6 @@ std::shared_ptr<Session::PreparedCall> Session::prepare(
   call->plan_ = std::move(plan);
   plan_compiles_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->increment("session/plan_compiles");
-  cache_insert(std::move(key), call);
-  return call;
-}
-
-std::shared_ptr<Session::PreparedCall> Session::prepare_specialized(
-    const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-    const std::vector<Shape>& feed_shapes) {
-  std::vector<int64_t> shape_key;
-  for (const Shape& s : feed_shapes) {
-    shape_key.push_back(s.rank());
-    for (int d = 0; d < s.rank(); ++d) shape_key.push_back(s.dim(d));
-  }
-  // An empty shape component is the dynamic key; keep the namespaces
-  // disjoint even for zero-feed calls.
-  shape_key.push_back(static_cast<int64_t>(feed_shapes.size()));
-  PlanKey key{fetches, feed_nodes, std::move(shape_key)};
-  if (std::shared_ptr<PreparedCall> hit = cache_lookup(key)) return hit;
-
-  trace::TraceSpan compile_span("session", "session/compile_specialized");
-  std::shared_ptr<CompiledPlan> plan =
-      CompiledPlan::compile_specialized(graph_, fetches, feed_nodes,
-                                        feed_shapes, pattern_fusion_);
-  if (plan == nullptr) {
-    // Shapes don't match the declared signature: serve the dynamic plan,
-    // and remember that under the specialized key so the next call with
-    // these shapes is a plain cache hit rather than a failed recompile.
-    std::shared_ptr<PreparedCall> dynamic = prepare(fetches, feed_nodes);
-    cache_insert(std::move(key), dynamic);
-    return dynamic;
-  }
-  auto call = std::make_shared<PreparedCall>();
-  call->session_ = this;
-  call->plan_ = std::move(plan);
-  plan_compiles_.fetch_add(1, std::memory_order_relaxed);
-  plan_specializations_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) {
-    metrics_->increment("session/plan_compiles");
-    metrics_->increment("session/plan_specializations");
-  }
   cache_insert(std::move(key), call);
   return call;
 }
@@ -241,9 +185,7 @@ void Session::record_run(const PreparedCall& call) {
 int64_t Session::bytes_reused() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   int64_t total = 0;
-  std::set<const PreparedCall*> seen;  // fallback entries alias dynamic ones
   for (const auto& [key, entry] : plan_cache_) {
-    if (!seen.insert(entry.call.get()).second) continue;
     total += entry.call->bytes_reused();
   }
   return total;

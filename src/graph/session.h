@@ -2,7 +2,7 @@
 // backend's runtime (the TF-session analogue).
 //
 // The session is a thin cache of CompiledPlans keyed by (fetches, feed
-// signature). A plan resolves kernels, flattens dependencies into dense
+// nodes). A plan resolves kernels, flattens dependencies into dense
 // value slots and precomputes last-use refcounts once; steady-state runs do
 // zero schedule work (see graph/exec_plan.h). Callers on a hot path can
 // prepare() a call once and skip even the cache lookup — this is what makes
@@ -16,7 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/exec_plan.h"
@@ -40,10 +40,6 @@ class Session {
     // Aggregate pool stats over this call's arenas.
     int64_t bytes_reused() const;
     int64_t bytes_allocated() const;
-    // Planned-arena stats (non-zero only for shape-specialized plans):
-    // contiguous-block allocations and alias-hazard pool fallbacks.
-    int64_t arena_block_allocs() const;
-    int64_t arena_alias_fallbacks() const;
     // Peak simultaneously-live value slots of the most recent run.
     int64_t last_peak_live_slots() const { return last_peak_; }
     void set_check_kernel_purity(bool on);
@@ -73,20 +69,9 @@ class Session {
   std::shared_ptr<PreparedCall> prepare(const std::vector<Endpoint>& fetches,
                                         const std::vector<int>& feed_nodes);
 
-  // Like prepare(), but specialized on concrete feed shapes (one per feed,
-  // typically a concrete leading batch dimension N). Cached under a key
-  // that additionally encodes the shapes, so each distinct N compiles once.
-  // When the shapes cannot specialize the plan (signature mismatch), the
-  // dynamic plan is cached under the specialized key — repeat callers pay
-  // one lookup, never a recompile.
-  std::shared_ptr<PreparedCall> prepare_specialized(
-      const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-      const std::vector<Shape>& feed_shapes);
-
   // Bound on cached plans; exceeding it evicts the least recently used
-  // entry. Generous by default — shape-specialized callers add one entry
-  // per distinct batch size, which bucketing keeps small, but an unbucketed
-  // caller feeding arbitrary N must not grow the cache without bound.
+  // entry. Generous by default — Session::run callers add one entry per
+  // distinct (fetches, feed set), which must not grow without bound.
   void set_plan_cache_capacity(size_t cap);
   size_t plan_cache_size() const;
 
@@ -107,8 +92,6 @@ class Session {
   int64_t plan_compiles() const { return plan_compiles_.load(); }
   int64_t plan_cache_hits() const { return plan_cache_hits_.load(); }
   int64_t plan_cache_evictions() const { return plan_cache_evictions_.load(); }
-  // Successful shape-specialized compiles (subset of plan_compiles).
-  int64_t plan_specializations() const { return plan_specializations_.load(); }
   // Fused composite kernel dispatches accumulated over all runs.
   int64_t fused_dispatches() const { return fused_dispatches_.load(); }
   int64_t bytes_reused() const;
@@ -122,11 +105,7 @@ class Session {
   VariableStore* variables_;
   Rng* rng_;
 
-  // (fetches, feed nodes, encoded feed shapes). The shape component is
-  // empty for dynamic plans; specialized plans append rank-then-dims per
-  // feed so each concrete signature caches independently.
-  using PlanKey = std::tuple<std::vector<Endpoint>, std::vector<int>,
-                             std::vector<int64_t>>;
+  using PlanKey = std::pair<std::vector<Endpoint>, std::vector<int>>;
   struct CacheEntry {
     std::shared_ptr<PreparedCall> call;
     std::list<PlanKey>::iterator lru_it;
@@ -145,7 +124,6 @@ class Session {
   std::atomic<int64_t> plan_compiles_{0};
   std::atomic<int64_t> plan_cache_hits_{0};
   std::atomic<int64_t> plan_cache_evictions_{0};
-  std::atomic<int64_t> plan_specializations_{0};
   std::atomic<int64_t> fused_dispatches_{0};
   bool pattern_fusion_ = false;
   MetricRegistry* metrics_ = nullptr;

@@ -16,23 +16,10 @@ DynamicBatcher::DynamicBatcher(BatcherConfig config, MetricRegistry* metrics,
                   << config_.max_batch_size);
   RLG_REQUIRE(config_.queue_capacity >= 1,
               "batcher queue_capacity must be >= 1");
-  flush_buckets_ = config_.flush_buckets;
-  std::sort(flush_buckets_.begin(), flush_buckets_.end());
-  flush_buckets_.erase(
-      std::unique(flush_buckets_.begin(), flush_buckets_.end()),
-      flush_buckets_.end());
-  for (int64_t b : flush_buckets_) {
-    RLG_REQUIRE(b >= 1, "batcher flush buckets must be >= 1, got " << b);
-  }
   if (metrics_ != nullptr) {
     batch_size_hist_ = &metrics_->histogram("serve/batch_size");
     queue_delay_hist_ = &metrics_->histogram("serve/queue_delay_seconds");
   }
-}
-
-bool DynamicBatcher::at_flush_bucket(size_t n) const {
-  const int64_t sn = static_cast<int64_t>(n);
-  return std::binary_search(flush_buckets_.begin(), flush_buckets_.end(), sn);
 }
 
 DynamicBatcher::SubQueue& DynamicBatcher::sub_queue_locked(
@@ -137,13 +124,11 @@ std::future<ActResult> DynamicBatcher::submit(Tensor obs,
     }
     ++total_pending_;
     // A sleeping worker only needs waking when a flush condition changes:
-    // the first request arriving (it anchors the flush deadline), the batch
-    // filling up, or the queue landing exactly on a flush bucket.
-    // Intermediate arrivals just join the pending batch — skipping their
-    // notify avoids a wakeup storm on the serving shard.
+    // the first request arriving (it anchors the flush deadline) or the
+    // batch filling up. Intermediate arrivals just join the pending batch —
+    // skipping their notify avoids a wakeup storm on the serving shard.
     if (total_pending_ != 1 &&
-        total_pending_ < static_cast<size_t>(config_.max_batch_size) &&
-        !at_flush_bucket(total_pending_)) {
+        total_pending_ < static_cast<size_t>(config_.max_batch_size)) {
       return fut;
     }
   }
@@ -159,13 +144,10 @@ std::vector<ActRequest> DynamicBatcher::next_batch() {
     if (total_pending_ == 0) return {};  // closed and drained
     // Wait out the flush window of the OLDEST request — later arrivals do
     // not extend it — unless a full batch accumulates (or close) first.
-    // Bucket-aware early out: the moment the queue sits exactly on a flush
-    // bucket the batch dispatches padding-free instead of waiting out the
-    // delay window only to be padded up to that same bucket anyway.
     ServeClock::time_point flush_at =
         oldest_enqueued_locked() + config_.max_queue_delay;
     while (!closed_ && total_pending_ < max_batch &&
-           !at_flush_bucket(total_pending_) && ServeClock::now() < flush_at) {
+           ServeClock::now() < flush_at) {
       ready_cv_.wait_until(lock, flush_at);
       // Another worker may have drained the queue while we slept (then the
       // window re-anchors on whatever request is oldest now).
@@ -173,10 +155,6 @@ std::vector<ActRequest> DynamicBatcher::next_batch() {
       flush_at = oldest_enqueued_locked() + config_.max_queue_delay;
     }
     if (total_pending_ == 0) continue;
-    if (metrics_ != nullptr && total_pending_ < max_batch &&
-        at_flush_bucket(total_pending_) && ServeClock::now() < flush_at) {
-      metrics_->increment("serve/bucket_flushes");
-    }
 
     const ServeClock::time_point now = ServeClock::now();
     trace::TraceSpan assembly_span("serve", "serve/batch_assembly");

@@ -76,12 +76,6 @@ struct BatcherConfig {
   // Default per-tenant sub-queue bound for tenants whose TenantConfig sets
   // none; 0 = no per-tenant bound (only the global bound applies).
   size_t tenant_queue_capacity = 0;
-  // Bucket-aware flushing: when non-empty (ascending sizes), a batch is
-  // dispatched the moment the queue reaches a bucket boundary instead of
-  // waiting out max_queue_delay — the flush lands exactly on a padding
-  // bucket, so bucketed servers pad nothing for it. Empty keeps the classic
-  // two-knob policy (full batch or oldest-request delay).
-  std::vector<int64_t> flush_buckets;
 };
 
 class DynamicBatcher {
@@ -137,10 +131,6 @@ class DynamicBatcher {
     bool active = false;   // currently in the active_ rotation
   };
 
-  // True when `n` pending requests sit exactly on a configured flush
-  // bucket. Queue growth is +1 per submit, so every boundary crossing is
-  // observed — no bucket can be jumped over.
-  bool at_flush_bucket(size_t n) const;
   // Must hold mutex_. Sub-queue for `tenant`, created (and its weight/
   // capacity captured from the registry) on first sight.
   SubQueue& sub_queue_locked(const std::string& tenant);
@@ -150,9 +140,8 @@ class DynamicBatcher {
   void count_shed(const char* reason, int64_t n = 1);
 
   const BatcherConfig config_;
-  std::vector<int64_t> flush_buckets_;  // validated ascending, deduplicated
-  MetricRegistry* metrics_;             // may be null
-  TenantRegistry* tenants_;             // may be null
+  MetricRegistry* metrics_;  // may be null
+  TenantRegistry* tenants_;  // may be null
   Histogram* batch_size_hist_ = nullptr;
   Histogram* queue_delay_hist_ = nullptr;
 

@@ -40,26 +40,10 @@ RequestClassConfig RequestClassConfig::from_json(const Json& config) {
 
 // --- PolicyServer ------------------------------------------------------------
 
-namespace {
-
-// Explicitly configured padding buckets double as the batcher's flush
-// buckets (see PolicyServerConfig::batch_buckets); the implicit
-// power-of-two default stays delay-driven.
-BatcherConfig batcher_config_for(const PolicyServerConfig& config) {
-  BatcherConfig b = config.batcher;
-  if (b.flush_buckets.empty() && config.pad_batches &&
-      !config.batch_buckets.empty()) {
-    b.flush_buckets = config.batch_buckets;
-  }
-  return b;
-}
-
-}  // namespace
-
 PolicyServer::PolicyServer(EngineFactory factory, PolicyServerConfig config)
     : config_(config), factory_(std::move(factory)),
       canary_(config.canary, &metrics_),
-      batcher_(batcher_config_for(config), &metrics_, &tenants_),
+      batcher_(config.batcher, &metrics_, &tenants_),
       latency_hist_(&metrics_.histogram("serve/latency_seconds")) {
   RLG_REQUIRE(config_.num_shards >= 1,
               "PolicyServer needs at least one shard, got "
@@ -69,24 +53,6 @@ PolicyServer::PolicyServer(EngineFactory factory, PolicyServerConfig config)
   for (const auto& entry : config_.tenants) {
     tenants_.register_tenant(entry.first, entry.second);
   }
-  if (config_.pad_batches) {
-    buckets_ = config_.batch_buckets;
-    if (buckets_.empty()) {
-      for (int64_t b = 1; b < config_.batcher.max_batch_size; b *= 2) {
-        buckets_.push_back(b);
-      }
-      buckets_.push_back(config_.batcher.max_batch_size);
-    }
-    std::sort(buckets_.begin(), buckets_.end());
-    for (int64_t b : buckets_) {
-      RLG_REQUIRE(b >= 1, "batch bucket sizes must be >= 1, got " << b);
-    }
-  }
-}
-
-int64_t PolicyServer::bucket_for(int64_t n) const {
-  auto it = std::lower_bound(buckets_.begin(), buckets_.end(), n);
-  return it == buckets_.end() ? n : *it;
 }
 
 PolicyServer::PolicyServer(Json agent_config, SpacePtr state_space,
@@ -269,36 +235,25 @@ void PolicyServer::serve_loop(int shard) {
                          bool record_outcomes) {
     if (group.empty()) return;
     try {
-      // Pad ragged flushes up to a bucket size so the engine only ever
-      // sees a handful of distinct batch shapes (each hitting a cached
-      // shape-specialized plan). Padding rows repeat the last observation;
-      // their actions are computed and dropped below.
-      const int64_t real = static_cast<int64_t>(group.size());
-      const int64_t padded = config_.pad_batches ? bucket_for(real) : real;
+      const int64_t batch = static_cast<int64_t>(group.size());
       std::vector<Tensor> observations;
-      observations.reserve(static_cast<size_t>(padded));
+      observations.reserve(group.size());
       for (const ActRequest& req : group) observations.push_back(req.obs);
-      for (int64_t i = real; i < padded; ++i) {
-        observations.push_back(observations.back());
-      }
       Tensor actions;
       {
         trace::TraceSpan fwd_span("serve", "serve/forward");
-        fwd_span.set_arg("batch", padded);
+        fwd_span.set_arg("batch", batch);
         fwd_span.set_arg("policy_version", version);
         actions = eng->forward(stack_leading(observations));
       }
       std::vector<Tensor> per_request = unstack_leading(actions);
-      RLG_CHECK_MSG(per_request.size() == static_cast<size_t>(padded),
+      RLG_CHECK_MSG(per_request.size() == group.size(),
                     "engine returned " << per_request.size()
-                        << " actions for a batch of " << padded);
-      if (padded > real) {
-        metrics_.increment("serve/padded_rows", padded - real);
-      }
+                        << " actions for a batch of " << batch);
 
       const ServeClock::time_point done = ServeClock::now();
       trace::TraceSpan respond_span("serve", "serve/respond");
-      respond_span.set_arg("batch", real);
+      respond_span.set_arg("batch", batch);
       for (size_t i = 0; i < group.size(); ++i) {
         const double latency =
             std::chrono::duration<double>(done - group[i].enqueued).count();
@@ -310,7 +265,7 @@ void PolicyServer::serve_loop(int shard) {
         result.request_id = group[i].request_id;
         group[i].promise.set_value(std::move(result));
       }
-      metrics_.increment("serve/requests", real);
+      metrics_.increment("serve/requests", batch);
       metrics_.increment("serve/batches");
     } catch (...) {
       fail_group(group, std::current_exception(), side, record_outcomes);

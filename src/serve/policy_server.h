@@ -2,9 +2,9 @@
 //
 // Clients call act()/act_async() from any number of threads; the dynamic
 // batcher (serve/batcher.h) coalesces their observations and serving shards
-// run one batched greedy forward pass per flush through the agent's cached
-// CompiledPlan — per-call framework overhead is paid once per batch, not
-// once per request. Weights come from the versioned PolicyStore: each shard
+// run one batched greedy forward pass per flush, at the flush's real batch
+// size, through the agent's build-time CompiledPlan — per-call framework
+// overhead is paid once per batch, not once per request. Weights come from the versioned PolicyStore: each shard
 // checks the store between batches and hot-swaps to the newest snapshot, so
 // every response is computed by exactly one published version (reported in
 // ActResult::policy_version) and a batch never observes a torn snapshot.
@@ -107,21 +107,6 @@ struct PolicyServerConfig {
   // Applied to act()/act_async() calls that pass no explicit deadline;
   // zero means requests wait for as long as the queue holds them.
   std::chrono::microseconds default_deadline{0};
-  // Round each flushed batch up to a bucket size by repeating the last
-  // observation (padding rows are computed and discarded, never answered).
-  // A handful of distinct batch sizes means a handful of shape-specialized
-  // plans: every forward pass hits a cached batch-N plan with a static
-  // memory layout instead of compiling — or dynamically allocating — per
-  // ragged flush size.
-  bool pad_batches = true;
-  // Ascending bucket sizes; empty = powers of two up to
-  // batcher.max_batch_size. A batch larger than every bucket is served
-  // unpadded at its natural size. Explicitly configured buckets also become
-  // the batcher's flush buckets (a queue sitting exactly on a bucket
-  // dispatches immediately, padding-free) unless batcher.flush_buckets is
-  // set; the implicit power-of-two default does not (its bucket 1 would
-  // flush every request as a singleton).
-  std::vector<int64_t> batch_buckets;
   // Named request classes for act_async(obs, class_name).
   std::map<std::string, RequestClassConfig> request_classes;
   // --- control plane ---------------------------------------------------------
@@ -198,9 +183,8 @@ class PolicyServer {
   // Counters: serve/requests, serve/batches, serve/shed_overload,
   // serve/shed_deadline, serve/shed_total{reason=...} (reason in deadline |
   // overload | tenant_quota | tenant_queue), serve/tenant_shed{tenant=...},
-  // serve/batch_failures, serve/padded_rows, serve/bucket_flushes,
-  // serve/canary_rollbacks (+ _p99 / _error_rate splits),
-  // serve/canary_promotions.
+  // serve/batch_failures, serve/canary_rollbacks (+ _p99 / _error_rate
+  // splits), serve/canary_promotions.
   // Histograms: serve/latency_seconds, serve/queue_delay_seconds,
   // serve/batch_size. Gauges: serve/policy_version, serve/canary_state,
   // serve/canary_rolled_back, serve/canary_weight.
@@ -209,11 +193,8 @@ class PolicyServer {
  private:
   void serve_loop(int shard);
   ServeClock::time_point deadline_from_now(std::chrono::microseconds d) const;
-  // Smallest configured bucket >= n, or n itself when none fits.
-  int64_t bucket_for(int64_t n) const;
 
   const PolicyServerConfig config_;
-  std::vector<int64_t> buckets_;  // resolved ascending bucket sizes
   EngineFactory factory_;
   // Expected observation signature (agent-config construction only).
   bool check_obs_ = false;

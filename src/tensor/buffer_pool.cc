@@ -11,7 +11,6 @@ namespace rlgraph {
 
 namespace {
 thread_local BufferPool* t_current_pool = nullptr;
-thread_local PlannedAllocScope* t_planned_scope = nullptr;
 }  // namespace
 
 struct BufferPool::State {
@@ -159,26 +158,5 @@ BufferPoolScope::BufferPoolScope(BufferPool* pool) : previous_(t_current_pool) {
 }
 
 BufferPoolScope::~BufferPoolScope() { t_current_pool = previous_; }
-
-PlannedAllocScope::PlannedAllocScope() : previous_(t_planned_scope) {
-  t_planned_scope = this;
-}
-
-PlannedAllocScope::~PlannedAllocScope() { t_planned_scope = previous_; }
-
-void PlannedAllocScope::add(size_t bytes, std::shared_ptr<void> storage) {
-  entries_.push_back(Entry{bytes == 0 ? 1 : bytes, std::move(storage)});
-}
-
-std::shared_ptr<void> PlannedAllocScope::try_take(size_t bytes) {
-  PlannedAllocScope* scope = t_planned_scope;
-  if (scope == nullptr) return nullptr;
-  for (Entry& e : scope->entries_) {
-    if (e.bytes == bytes && e.storage != nullptr) {
-      return std::move(e.storage);  // leaves a consumed (null) entry behind
-    }
-  }
-  return nullptr;
-}
 
 }  // namespace rlgraph

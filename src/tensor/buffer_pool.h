@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace rlgraph {
 
@@ -73,42 +72,6 @@ class BufferPoolScope {
 
  private:
   BufferPool* previous_;
-};
-
-// Compile-time-planned output storage for one plan step (see the arena
-// planner in graph/exec_plan.h). While a scope is active on the current
-// thread, tensor allocations whose byte size exactly matches a pending
-// planned block are served that block instead of going to the pool — this
-// is how a shape-specialized plan's kernel outputs land at their preplanned
-// arena offsets without changing the kernel ABI. Sizes that match nothing
-// (kernel temporaries, unplanned outputs) fall through to the pool/heap as
-// usual. Blocks are consumed at most once per scope.
-class PlannedAllocScope {
- public:
-  PlannedAllocScope();
-  ~PlannedAllocScope();
-
-  PlannedAllocScope(const PlannedAllocScope&) = delete;
-  PlannedAllocScope& operator=(const PlannedAllocScope&) = delete;
-
-  // Register one planned block (storage aliases the plan's arena).
-  void add(size_t bytes, std::shared_ptr<void> storage);
-
-  // Drop any unconsumed blocks but keep the entry vector's capacity, so a
-  // scope reused across a plan's steps stages ranges without allocating.
-  void reset() { entries_.clear(); }
-
-  // Called by the tensor allocator: pop a pending block of exactly `bytes`,
-  // or nullptr when no scope is active / nothing matches.
-  static std::shared_ptr<void> try_take(size_t bytes);
-
- private:
-  struct Entry {
-    size_t bytes;
-    std::shared_ptr<void> storage;
-  };
-  std::vector<Entry> entries_;
-  PlannedAllocScope* previous_;
 };
 
 }  // namespace rlgraph

@@ -11,11 +11,6 @@ namespace rlgraph {
 namespace {
 std::shared_ptr<void> allocate(size_t bytes) {
   if (bytes == 0) bytes = 1;  // keep a valid pointer for 0-element tensors
-  // A shape-specialized plan step may have preplanned this allocation into
-  // its arena (exact byte-size match); that beats any pool lookup.
-  if (std::shared_ptr<void> planned = PlannedAllocScope::try_take(bytes)) {
-    return planned;
-  }
   if (BufferPool* pool = BufferPool::current()) return pool->allocate(bytes);
   return std::shared_ptr<void>(::operator new(bytes),
                                [](void* p) { ::operator delete(p); });

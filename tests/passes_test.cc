@@ -280,23 +280,17 @@ TEST_F(PlanFusionTest, FusedCompileToleratesFeedOutsideClosure) {
   RunArena unfused_arena;
   Tensor want =
       unfused->execute(unfused_arena, feed_values, &store_, &rng_)[0];
-  std::vector<std::shared_ptr<CompiledPlan>> plans = {
-      CompiledPlan::compile(ctx_.graph(), fetches, feed_nodes,
-                            /*fuse_patterns=*/true),
-      CompiledPlan::compile_specialized(ctx_.graph(), fetches, feed_nodes,
-                                        {Shape{2, 3}, Shape{}},
-                                        /*fuse_patterns=*/true)};
-  for (const auto& plan : plans) {
-    ASSERT_NE(plan, nullptr);
-    EXPECT_EQ(plan->fused_kernel_steps(), 1);
-    EXPECT_EQ(plan->num_feeds(), 2u);
-    EXPECT_EQ(plan->unused_feed_names(),
-              std::vector<std::string>{ignored_name});
-    EXPECT_EQ(plan->graph_num_nodes(), 5u);  // x, w, b, FusedDense, ignored
-    RunArena arena;
-    expect_bitwise_equal(plan->execute(arena, feed_values, &store_, &rng_)[0],
-                         want);
-  }
+  auto plan = CompiledPlan::compile(ctx_.graph(), fetches, feed_nodes,
+                                    /*fuse_patterns=*/true);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->fused_kernel_steps(), 1);
+  EXPECT_EQ(plan->num_feeds(), 2u);
+  EXPECT_EQ(plan->unused_feed_names(),
+            std::vector<std::string>{ignored_name});
+  EXPECT_EQ(plan->graph_num_nodes(), 5u);  // x, w, b, FusedDense, ignored
+  RunArena arena;
+  expect_bitwise_equal(plan->execute(arena, feed_values, &store_, &rng_)[0],
+                       want);
 }
 
 TEST_F(PlanFusionTest, ConsumerOutsideClosureDoesNotBlockDenseFusion) {
@@ -444,10 +438,10 @@ TEST(OptimizeAgentGraphTest, FixedPointOnDQNImpalaAndSacGraphs) {
 
 TEST(PlanFusionAgentTest, ServePlansHoldNoMoreThanTheirClosure) {
   // The dense-32 serving policy (obs 16, 4 actions): after greedy acts at
-  // every serving bucket size, each cached act_greedy plan — the build-time
-  // dynamic one and the six batch specializations — keeps alive only its
-  // fused closure. A plan's slots number at least its closure's nodes (one
-  // per output, at least one per node), and it has no unused feeds here.
+  // six batch sizes, the one act_greedy plan compiled at build time keeps
+  // alive only its fused closure. A plan's slots number at least its
+  // closure's nodes (one per output, at least one per node), and it has no
+  // unused feeds here.
   DQNAgent agent(Json::parse(R"({
     "type": "dqn",
     "backend": "static",
@@ -474,24 +468,11 @@ TEST(PlanFusionAgentTest, ServePlansHoldNoMoreThanTheirClosure) {
   Session* session = ex.session();
   const int64_t compiles = session->plan_compiles();
 
-  auto expect_closure_local = [](const CompiledPlan& plan) {
-    EXPECT_GT(plan.fused_kernel_steps(), 0);
-    EXPECT_TRUE(plan.unused_feed_names().empty());
-    EXPECT_LE(plan.graph_num_nodes(), plan.num_slots());
-  };
-  {
-    SCOPED_TRACE("dynamic");
-    expect_closure_local(session->prepare(fetches, feed_nodes)->plan());
-  }
-  for (int64_t b : batches) {
-    SCOPED_TRACE("batch " + std::to_string(b));
-    const CompiledPlan& plan =
-        session->prepare_specialized(fetches, feed_nodes, {Shape{b, 16}})
-            ->plan();
-    EXPECT_TRUE(plan.specialized());
-    expect_closure_local(plan);
-  }
-  EXPECT_EQ(session->plan_compiles(), compiles);  // every lookup was a hit
+  const CompiledPlan& plan = session->prepare(fetches, feed_nodes)->plan();
+  EXPECT_GT(plan.fused_kernel_steps(), 0);
+  EXPECT_TRUE(plan.unused_feed_names().empty());
+  EXPECT_LE(plan.graph_num_nodes(), plan.num_slots());
+  EXPECT_EQ(session->plan_compiles(), compiles);  // the build-time plan
 }
 
 }  // namespace

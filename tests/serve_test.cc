@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -129,33 +131,6 @@ TEST(DynamicBatcherTest, OverloadShedsWithTypedError) {
   batcher.shed_all("test over");
   EXPECT_THROW(f1.get(), OverloadedError);
   EXPECT_THROW(f2.get(), OverloadedError);
-}
-
-TEST(DynamicBatcherTest, BucketBoundaryFlushesWithoutDelay) {
-  // With flush buckets configured, a batch flushes the moment the queue
-  // reaches a bucket boundary — it does not sit out max_queue_delay waiting
-  // for a full max_batch. Deterministic: the bucket is hit before
-  // next_batch() is even called, so no timing window is involved.
-  MetricRegistry metrics;
-  BatcherConfig cfg;
-  cfg.max_batch_size = 64;
-  cfg.max_queue_delay = 10s;  // must not matter
-  cfg.flush_buckets = {4};
-  DynamicBatcher batcher(cfg, &metrics);
-  std::vector<std::future<ActResult>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(batcher.submit(obs1(static_cast<float>(i))));
-  }
-
-  const auto t0 = ServeClock::now();
-  std::vector<ActRequest> batch = batcher.next_batch();
-  const double waited =
-      std::chrono::duration<double>(ServeClock::now() - t0).count();
-  ASSERT_EQ(batch.size(), 4u);
-  EXPECT_LT(waited, 1.0);  // bucket flush, not the 10s delay
-  EXPECT_EQ(metrics.counter("serve/bucket_flushes"), 1);
-  for (ActRequest& r : batch) r.promise.set_value(ActResult{});
-  for (auto& f : futures) f.get();
 }
 
 TEST(DynamicBatcherTest, SubmitAfterCloseRejected) {
@@ -423,9 +398,8 @@ TEST(PolicyServerTest, AgentEngineMatchesDirectGreedyActions) {
   server.shutdown();
 }
 
-// Bucketed padding: every flushed batch is rounded up to a configured
-// bucket size before the forward pass, and the padding rows' actions are
-// dropped — clients only ever see answers to their own observations.
+// Records every batch size the engine is handed and answers each row with
+// a function of its own observation.
 class RowEchoEngine : public serve::ServingEngine {
  public:
   // Engines die with their shard thread at shutdown, so observed batch
@@ -452,62 +426,40 @@ class RowEchoEngine : public serve::ServingEngine {
   std::vector<int64_t>* sizes_;
 };
 
-TEST(PolicyServerTest, PadsBatchesToBucketsAndTruncatesResponses) {
+TEST(PolicyServerTest, EngineReceivesExactlyTheRealBatchSizes) {
+  // A flush of 22 requests is computed as 22 rows: no padding rows reach
+  // the engine. The engine factory is held until all 54 requests are
+  // queued, so the batcher deterministically flushes one full batch of 32
+  // and then the remaining 22.
   std::mutex mu;
   std::vector<int64_t> seen_sizes;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
   PolicyServerConfig cfg;
   cfg.num_shards = 1;
-  cfg.batcher.max_batch_size = 4;
+  cfg.batcher.max_batch_size = 32;
   cfg.batcher.max_queue_delay = 1ms;
-  cfg.pad_batches = true;
-  cfg.batch_buckets = {4};  // every batch pads to exactly 4 rows
   PolicyServer server(
-      [&](int) { return std::make_unique<RowEchoEngine>(&mu, &seen_sizes); },
+      [&, released](int) {
+        released.wait();
+        return std::make_unique<RowEchoEngine>(&mu, &seen_sizes);
+      },
       cfg);
   server.start();
 
-  for (int i = 0; i < 6; ++i) {
-    ActResult r = server.act(obs1(static_cast<float>(i)));
-    EXPECT_FLOAT_EQ(r.action.scalar_value(), 10.0f * i) << "request " << i;
-  }
-  server.shutdown();
-
-  EXPECT_FALSE(seen_sizes.empty());
-  for (int64_t n : seen_sizes) {
-    EXPECT_EQ(n, 4) << "forward saw an unpadded batch";
-  }
-  // Sequential act() calls flush as batches of 1 real + 3 padding rows.
-  EXPECT_GE(server.metrics().counter("serve/padded_rows"), 6 * 3);
-}
-
-TEST(PolicyServerTest, OversizedBatchesServeUnpaddedPastLargestBucket) {
-  // A flush bigger than every bucket runs at its natural size: bucket_for
-  // falls through rather than truncating work.
-  std::mutex mu;
-  std::vector<int64_t> seen_sizes;
-  PolicyServerConfig cfg;
-  cfg.num_shards = 1;
-  cfg.batcher.max_batch_size = 8;
-  cfg.batcher.max_queue_delay = 50ms;  // wide window: coalesce the burst
-  cfg.pad_batches = true;
-  cfg.batch_buckets = {2};
-  PolicyServer server(
-      [&](int) { return std::make_unique<RowEchoEngine>(&mu, &seen_sizes); },
-      cfg);
-  server.start();
-
+  constexpr int kRequests = 54;
   std::vector<std::future<ActResult>> futs;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < kRequests; ++i) {
     futs.push_back(server.act_async(obs1(static_cast<float>(i))));
   }
-  for (int i = 0; i < 6; ++i) {
+  release.set_value();
+  for (int i = 0; i < kRequests; ++i) {
     EXPECT_FLOAT_EQ(futs[static_cast<size_t>(i)].get().action.scalar_value(),
-                    10.0f * i);
+                    10.0f * i)
+        << "request " << i;
   }
   server.shutdown();
-  for (int64_t n : seen_sizes) {
-    EXPECT_TRUE(n == 2 || n > 2) << "batch of " << n;
-  }
+  EXPECT_EQ(seen_sizes, (std::vector<int64_t>{32, 22}));
 }
 
 // --- named request classes ---------------------------------------------------
@@ -597,8 +549,8 @@ TEST(BatchingPrimitivesTest, StackRejectsMismatchedParts) {
 // deterministic squashed-mean actions. Dense forward passes are row-wise
 // independent, so a served action must be BITWISE identical to the trainer's
 // greedy action for the same observation regardless of how requests coalesce
-// — exercised here at batch sizes 1, 4 and 16 against the padded-bucket
-// shape-specialized plans.
+// — exercised here at concurrencies 1, 4 and 16 against the one build-time
+// plan.
 
 Json serve_sac_config() {
   return Json::parse(R"({
@@ -623,8 +575,6 @@ TEST(PolicyServerTest, SacMeanActionsMatchTrainerGreedyAcrossBatchSizes) {
   cfg.num_shards = 1;
   cfg.batcher.max_batch_size = 16;
   cfg.batcher.max_queue_delay = 10ms;  // lets concurrent requests coalesce
-  cfg.pad_batches = true;
-  cfg.batch_buckets = {1, 4, 16};  // the shape-specialized plan sizes
   PolicyServer server(serve_sac_config(), obs_space, act_space, cfg);
   server.store().publish(trainer.get_weights());
   server.start();
