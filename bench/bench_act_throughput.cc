@@ -24,10 +24,8 @@ struct Row {
   int64_t envs;
   double frames_per_second;
   int64_t executor_calls;
-  // Static-backend plan-cache counters (zero elsewhere).
+  // Static-backend plan compiles, all at build time (zero elsewhere).
   int64_t plan_compiles = 0;
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_evictions = 0;
   // Fused composite-kernel dispatches (MatMul+bias+activation collapsed to
   // one FusedDense step, etc.); zero when pattern fusion is off or the
   // backend is define-by-run.
@@ -66,8 +64,6 @@ Row run_agent(const std::string& backend, bool fast_path, int64_t num_envs,
           agent.executor().execution_calls() - calls_before};
   if (Session* session = agent.executor().session()) {
     row.plan_compiles = session->plan_compiles();
-    row.plan_cache_hits = session->plan_cache_hits();
-    row.plan_cache_evictions = session->plan_cache_evictions();
   }
   row.fused_dispatches = agent.executor().fused_dispatches();
   return row;
@@ -105,8 +101,7 @@ int main(int argc, char** argv) {
     env_counts = {1, 4, 16};
   }
   std::printf("%-26s %8s %14s %10s %8s %s\n", "implementation", "envs",
-              "env_frames/s", "exec_calls", "fused",
-              "plan compiles/hits/evict");
+              "env_frames/s", "exec_calls", "fused", "plan compiles");
   for (int64_t envs : env_counts) {
     std::vector<Row> rows{
         run_agent("static", true, envs, seconds),
@@ -115,22 +110,18 @@ int main(int argc, char** argv) {
         run_hand_tuned(envs, seconds),
     };
     for (const Row& r : rows) {
-      std::printf("%-26s %8lld %14.0f %10lld %8lld %lld/%lld/%lld\n",
+      std::printf("%-26s %8lld %14.0f %10lld %8lld %lld\n",
                   r.impl.c_str(), static_cast<long long>(r.envs),
                   r.frames_per_second,
                   static_cast<long long>(r.executor_calls),
                   static_cast<long long>(r.fused_dispatches),
-                  static_cast<long long>(r.plan_compiles),
-                  static_cast<long long>(r.plan_cache_hits),
-                  static_cast<long long>(r.plan_cache_evictions));
+                  static_cast<long long>(r.plan_compiles));
       Json params;
       params["impl"] = Json(r.impl);
       params["envs"] = Json(r.envs);
       params["exec_calls"] = Json(r.executor_calls);
       params["fused_dispatches"] = Json(r.fused_dispatches);
       params["plan_compiles"] = Json(r.plan_compiles);
-      params["plan_cache_hits"] = Json(r.plan_cache_hits);
-      params["plan_cache_evictions"] = Json(r.plan_cache_evictions);
       reporter.record("act_fps", r.frames_per_second, "env_frames/s",
                       std::move(params));
     }

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
   // Offered rates are anchored to the measured closed-loop capacity so the
   // sweep straddles the knee on any host: comfortably below, near, at, and
   // 1.5x past saturation. One server instance serves the whole sweep (the
-  // steady-state plan-cache check below needs the warm replica).
+  // steady-state compile check below needs the warm replica).
   bench::print_header("serving saturation: open-loop Poisson sweep");
   const double capacity = batched.qps;
   const std::vector<double> load_factors =
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
   load.seed = 1;
   (void)bench::run_open_loop(server, load);
 
-  // Plan-cache baseline after warmup: steady state must add NO compiles.
+  // Compile baseline after warmup: steady state must add NO compiles.
   int64_t compiles_before = 0;
   {
     std::lock_guard<std::mutex> lock(engines_mu);
@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
   }
   server.shutdown();
   const int64_t steady_compiles = compiles_after - compiles_before;
-  std::printf("steady-state plan cache: %lld new compiles (want 0)\n",
+  std::printf("steady-state serving: %lld new plan compiles (want 0)\n",
               static_cast<long long>(steady_compiles));
   reporter.record("steady_state_plan_compiles",
                   static_cast<double>(steady_compiles), "compiles");

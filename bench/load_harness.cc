@@ -22,7 +22,9 @@ namespace {
 struct Pending {
   std::future<serve::ActResult> fut;
   size_t stream = 0;
-  serve::ServeClock::time_point submitted;
+  // When the open-loop schedule said the request arrives. Latency runs
+  // from here, so a generator that falls behind shows its own lag.
+  serve::ServeClock::time_point due;
 };
 
 // Collector-side accumulation for one stream (generator counts offered/shed
@@ -168,7 +170,7 @@ LoadReport run_open_loop(serve::PolicyServer& server,
         try {
           (void)p.fut.get();
           const double latency = std::chrono::duration<double>(
-                                     serve::ServeClock::now() - p.submitted)
+                                     serve::ServeClock::now() - p.due)
                                      .count();
           acc.latency.record(latency);
           acc.completed.fetch_add(1, std::memory_order_relaxed);
@@ -185,7 +187,8 @@ LoadReport run_open_loop(serve::PolicyServer& server,
   // gaps, independent of how the server is doing. When the generator falls
   // behind schedule (submit overhead at very high rates) it stops sleeping
   // and submits back-to-back; generated_qps in the report shows the rate it
-  // actually achieved.
+  // actually achieved, and latency (stamped at each arrival's due time)
+  // carries the lag.
   Rng rng(config.seed);
   std::vector<int64_t> offered(streams.size(), 0);
   std::vector<int64_t> shed(streams.size(), 0);
@@ -214,7 +217,7 @@ LoadReport run_open_loop(serve::PolicyServer& server,
         config.observations[arrival_index++ % config.observations.size()];
     try {
       Pending p;
-      p.submitted = serve::ServeClock::now();
+      p.due = due;
       p.fut = server.act_async(obs, options);
       p.stream = stream;
       {

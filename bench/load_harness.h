@@ -76,7 +76,8 @@ struct StreamStats {
   int64_t failed = 0;     // any other error
   double offered_qps = 0.0;
   double attained_qps = 0.0;
-  // Completion latency (submit -> answer), successes only.
+  // Completion latency (scheduled arrival -> answer), successes only: a
+  // generator running late counts its lag against the request.
   double p50 = 0.0, p99 = 0.0;
 };
 

@@ -95,30 +95,13 @@ std::vector<Tensor> FastPathProgram::run(
   RLG_REQUIRE(inputs.size() == num_inputs_,
               "fast-path program expects " << num_inputs_ << " inputs, got "
                                            << inputs.size());
-  ExecState& state = *exec_;
   std::shared_ptr<const CompiledPlan> plan;
-  std::unique_ptr<RunArena> arena;
   {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    if (!state.plan) state.plan = lower(variables, rng, inputs);
-    plan = state.plan;
-    if (!state.free_arenas.empty()) {
-      arena = std::move(state.free_arenas.back());
-      state.free_arenas.pop_back();
-    }
+    std::lock_guard<std::mutex> lock(exec_->mutex);
+    if (!exec_->plan) exec_->plan = lower(variables, rng, inputs);
+    plan = exec_->plan;
   }
-  if (!arena) arena = std::make_unique<RunArena>();
-  std::vector<Tensor> out;
-  try {
-    out = plan->execute(*arena, inputs, variables, rng);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.free_arenas.push_back(std::move(arena));
-    throw;
-  }
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.free_arenas.push_back(std::move(arena));
-  return out;
+  return plan->run(inputs, variables, rng);
 }
 
 void FastPathRecorder::register_input(OpRef ref, int input_index) {

@@ -42,8 +42,8 @@ class FastPathProgram {
 
   // Executes the contracted program against fresh inputs. The first call
   // lowers the recorded steps into a CompiledPlan (one build-mode replay,
-  // no stateful side effects); subsequent calls execute the plan directly.
-  // Safe to call concurrently: runs check arenas out of a shared pool.
+  // no stateful side effects); subsequent calls run the plan directly.
+  // Safe to call concurrently: each run checks out one of the plan's arenas.
   std::vector<Tensor> run(VariableStore* variables, Rng* rng,
                           const std::vector<Tensor>& inputs) const;
 
@@ -53,12 +53,11 @@ class FastPathProgram {
  private:
   friend class FastPathRecorder;
 
-  // Plan + arena pool live behind a shared_ptr so copies of a program share
-  // one lowered plan and its recycled arenas/buffers.
+  // The lowered plan lives behind a shared_ptr so copies of a program share
+  // one plan and, through it, its recycled arenas/buffers.
   struct ExecState {
     std::mutex mutex;
     std::shared_ptr<const CompiledPlan> plan;
-    std::vector<std::unique_ptr<RunArena>> free_arenas;
   };
 
   std::shared_ptr<const CompiledPlan> lower(VariableStore* variables, Rng* rng,

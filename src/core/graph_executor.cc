@@ -91,7 +91,6 @@ const BuildStats& GraphExecutor::build() {
     // passes: inference plans dispatch fused composites, training plans
     // (stateful closures) are left untouched by the pass itself.
     session_->set_pattern_fusion(options_.optimize);
-    if (options_.profiling) session_->set_metrics(&profile_);
   } else {
     ImperativeContext ctx(&variables_, &rng_, /*build_mode=*/true,
                           options_.probe_batch);
@@ -118,7 +117,7 @@ const BuildStats& GraphExecutor::build() {
       std::vector<int> feed_nodes;
       feed_nodes.reserve(api.placeholders.size());
       for (const OpRef& p : api.placeholders) feed_nodes.push_back(p.node);
-      entry.prepared = session_->prepare(fetches, feed_nodes);
+      entry.plan = session_->compile(fetches, feed_nodes);
     }
     handle_ids_[name] = static_cast<int>(entries_.size());
     entries_.push_back(std::move(entry));
@@ -164,8 +163,8 @@ std::vector<Tensor> GraphExecutor::execute(ApiHandle handle,
 
 std::vector<Tensor> GraphExecutor::execute_entry(
     ApiEntry& entry, const std::vector<Tensor>& inputs) {
-  if (!entry.prepared) return execute_imperative(entry, inputs);
-  return entry.prepared->run(inputs);
+  if (!entry.plan) return execute_imperative(entry, inputs);
+  return entry.plan->run(inputs, &variables_, &rng_);
 }
 
 std::vector<Tensor> GraphExecutor::execute_imperative(

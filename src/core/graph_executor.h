@@ -2,9 +2,10 @@
 // backend (paper §4.1). Owns the variable store, drives all build phases,
 // and serves execute(api, inputs) requests:
 //
-//  * static backend — every API is compiled to a Session::PreparedCall at
+//  * static backend — the Session compiles every API to a CompiledPlan at
 //    build time (fetches + placeholder feed order resolved once), and every
-//    call runs that plan, whatever its batch size.
+//    call runs that plan, whatever its batch size. The plan owns its run
+//    arenas, so a call is one arena checkout plus the plan's step loop.
 //  * define-by-run backend — re-dispatches the call chain of graph functions
 //    through the component graph; when edge contraction succeeds, the
 //    contracted program is lowered onto the same compiled-plan layer and
@@ -89,14 +90,14 @@ class GraphExecutor {
   // Static backend: one per execute(); define-by-run: dispatch count.
   int64_t execution_calls() const { return execution_calls_; }
   // Per-API latency summaries (populated when options.profiling is set) —
-  // the "hooks for summaries or profiling" of paper §4.1. When profiling is
-  // on, the session's plan-compile / cache-hit / reuse counters land here
-  // too.
+  // the "hooks for summaries or profiling" of paper §4.1. Plan compile and
+  // run counters are read from session() instead.
   const MetricRegistry& profile() const { return profile_; }
   std::string profile_report() const { return profile_.report(); }
   // Readable dump of the built computation graph (static backend).
   std::string graph_dump() const;
-  // The session serving static-backend calls (null on define-by-run).
+  // The session that compiled the static-backend plans and counts their
+  // runs (null on define-by-run).
   Session* session() { return session_.get(); }
 
   // --- weights ------------------------------------------------------------------
@@ -115,8 +116,8 @@ class GraphExecutor {
   // Per-API state resolved at build time.
   struct ApiEntry {
     const BuiltApi* api = nullptr;
-    // Static backend: the compiled plan call (fetches + feed order baked).
-    std::shared_ptr<Session::PreparedCall> prepared;
+    // Static backend: the build-time plan (fetches + feed order baked).
+    std::shared_ptr<const CompiledPlan> plan;
     // Define-by-run: the contracted program once a dispatch traced it.
     FastPathProgram fast_path;
     bool traced = false;

@@ -99,7 +99,8 @@ std::vector<uint64_t> checksum_inputs(const std::vector<Tensor>& inputs) {
 
 std::shared_ptr<CompiledPlan> CompiledPlan::compile(
     std::shared_ptr<const GraphDef> graph, const std::vector<Endpoint>& fetches,
-    const std::vector<int>& feed_nodes, bool fuse_patterns) {
+    const std::vector<int>& feed_nodes, bool fuse_patterns,
+    std::shared_ptr<Counters> counters) {
   RLG_REQUIRE(graph != nullptr, "CompiledPlan::compile requires a graph");
   const int n = graph->num_nodes();
   for (int id : feed_nodes) {
@@ -130,7 +131,7 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
       }
       return compile(
           std::shared_ptr<const GraphDef>(std::move(fused.graph)), new_fetches,
-          new_feeds, /*fuse_patterns=*/false);
+          new_feeds, /*fuse_patterns=*/false, std::move(counters));
     }
   }
   std::vector<uint8_t> fed(static_cast<size_t>(n), 0);
@@ -176,6 +177,7 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
 
   auto plan = std::shared_ptr<CompiledPlan>(new CompiledPlan());
   plan->graph_ = graph;
+  if (counters != nullptr) plan->counters_ = std::move(counters);
   // Feeds outside the fetched subgraph get no slot; their per-run values
   // are dropped. Recorded by name so Session::run (explicit feed map, where
   // an unused feed is almost always a caller bug) can reject them, while
@@ -252,11 +254,7 @@ std::shared_ptr<CompiledPlan> CompiledPlan::compile(
                                  f.index);
   }
   plan->finalize_schedule(control_edges);
-  // Whether the leading feed dimension is a meaningful batch count: every
-  // feed accepts an arbitrary leading extent AND feed 0 is actually read by
-  // the fetched subgraph.
-  plan->counts_batch_ = plan->feeds_batchable() && !plan->feed_slots_.empty() &&
-                        plan->feed_slots_[0] >= 0;
+  plan->counters_->compiles.fetch_add(1, std::memory_order_relaxed);
   return plan;
 }
 
@@ -381,6 +379,42 @@ void CompiledPlan::finalize_schedule(
 
 // --- execution --------------------------------------------------------------
 
+std::vector<Tensor> CompiledPlan::run(const std::vector<Tensor>& feed_values,
+                                      VariableStore* variables,
+                                      Rng* rng) const {
+  std::unique_ptr<RunArena> arena;
+  {
+    std::lock_guard<std::mutex> lock(arenas_mutex_);
+    if (!free_arenas_.empty()) {
+      arena = std::move(free_arenas_.back());
+      free_arenas_.pop_back();
+    }
+  }
+  if (arena == nullptr) arena = std::make_unique<RunArena>();
+
+  std::vector<Tensor> out;
+  try {
+    out = execute(*arena, feed_values, variables, rng);
+  } catch (...) {
+    arena->end_run();
+    std::lock_guard<std::mutex> lock(arenas_mutex_);
+    free_arenas_.push_back(std::move(arena));
+    throw;
+  }
+  std::lock_guard<std::mutex> lock(arenas_mutex_);
+  free_arenas_.push_back(std::move(arena));
+  return out;
+}
+
+int64_t CompiledPlan::bytes_allocated() const {
+  std::lock_guard<std::mutex> lock(arenas_mutex_);
+  int64_t total = 0;
+  for (const auto& arena : free_arenas_) {
+    total += arena->pool().bytes_allocated();
+  }
+  return total;
+}
+
 std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
                                           const std::vector<Tensor>& feed_values,
                                           VariableStore* variables,
@@ -419,6 +453,7 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
   // Kernel output allocations inside this run draw from the arena's pool;
   // released intermediates recycle their buffers within the same run.
   BufferPoolScope pool_scope(&arena.pool());
+  const int64_t reused_before = arena.pool().bytes_reused();
   arena.begin_run(num_slots_);
   for (size_t i = 0; i < feed_values.size(); ++i) {
     if (feed_slots_[i] < 0) continue;  // feed unused by the fetched subgraph
@@ -444,33 +479,17 @@ std::vector<Tensor> CompiledPlan::execute(RunArena& arena,
   for (int slot : fetch_slots_) fetched.push_back(arena.get(slot));
   arena.end_run();
 
-  counters_.runs.fetch_add(1, std::memory_order_relaxed);
-  counters_.nodes_executed.fetch_add(static_cast<int64_t>(steps_.size()),
-                                     std::memory_order_relaxed);
+  Counters& counters = *counters_;
+  counters.runs.fetch_add(1, std::memory_order_relaxed);
+  counters.nodes_executed.fetch_add(static_cast<int64_t>(steps_.size()),
+                                    std::memory_order_relaxed);
   if (fused_kernel_steps_ > 0) {
-    counters_.fused_dispatches.fetch_add(fused_kernel_steps_,
-                                         std::memory_order_relaxed);
+    counters.fused_dispatches.fetch_add(fused_kernel_steps_,
+                                        std::memory_order_relaxed);
   }
-  // A "batch" is the leading extent of feed 0, but only when the plan's
-  // signature makes that a batch dimension and the feed actually reaches
-  // the fetched subgraph; everything else (scalar feeds, feed-less plans,
-  // unused feed 0) counts as one logical element per run.
-  int64_t batch = 1;
-  if (counts_batch_ && !feed_values.empty() &&
-      feed_values[0].shape().rank() >= 1) {
-    batch = feed_values[0].shape().dim(0);
-  }
-  counters_.batch_elements.fetch_add(batch, std::memory_order_relaxed);
+  counters.bytes_reused.fetch_add(arena.pool().bytes_reused() - reused_before,
+                                  std::memory_order_relaxed);
   return fetched;
-}
-
-bool CompiledPlan::feeds_batchable() const {
-  if (feed_shapes_.size() != feed_slots_.size()) return false;  // built plan
-  if (feed_shapes_.empty()) return false;
-  for (const Shape& s : feed_shapes_) {
-    if (s.rank() < 1 || s.dim(0) != kUnknownDim) return false;
-  }
-  return true;
 }
 
 void CompiledPlan::run_step(const Step& step, KernelContext& ctx,

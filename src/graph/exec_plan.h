@@ -1,19 +1,23 @@
 // Compiled execution plans: the one executable-graph layer shared by the
-// Session (static backend) and the fast-path (define-by-run backend).
+// static backend (Session compiles, GraphExecutor runs) and the fast path
+// (define-by-run backend).
 //
 // The paper's build process amortizes per-call overhead into a one-time
 // compilation step. A CompiledPlan is that step's output: every scheduled
 // node's kernel is resolved to a function pointer once, the dependency
 // structure is flattened into dense value-slot indices (no per-run maps or
 // registry lookups), and per-slot last-use refcounts let intermediates be
-// released eagerly. Steady-state execution walks a flat step array against a
-// reusable RunArena whose buffer pool recycles tensor storage, so a run does
-// zero schedule work and minimal allocation.
+// released eagerly. A plan runs itself: run() checks a RunArena out of the
+// plan's own free list, so steady-state execution walks a flat step array
+// against a reused slot table whose buffer pool recycles tensor storage —
+// zero schedule work and minimal allocation — and concurrent runs of one
+// plan each get a private arena.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,7 +30,7 @@ namespace rlgraph {
 
 // Reusable per-run state for one plan: the dense value-slot table, live
 // refcounts, and the buffer pool serving kernel allocations. An arena is
-// used by at most one run at a time (Session keeps a small pool per plan),
+// used by at most one run at a time (CompiledPlan::run keeps a free list),
 // but within that run the parallel inter-op scheduler may produce/consume
 // slots from several pool threads: refcounts are atomic, and distinct slots
 // are only ever touched by the steps that the dependency edges order.
@@ -88,18 +92,19 @@ class CompiledPlan {
     int num_deps = 0;
   };
 
+  // Compile and run counters. One set may be shared by many plans (a
+  // Session passes its own to every compile), so they read as totals.
   struct Counters {
+    // Graph compiles (Builder-assembled plans do not count).
+    std::atomic<int64_t> compiles{0};
     std::atomic<int64_t> runs{0};
     std::atomic<int64_t> nodes_executed{0};
-    // Sum of the leading feed dimension over all runs (a feed-less or
-    // scalar-fed run counts 1): total logical elements served through this
-    // plan — runs with a varying dynamic batch divide this by `runs` for
-    // the mean effective batch size. Only counted when the plan is
-    // batchable and feed 0 is actually consumed by the fetched subgraph.
-    std::atomic<int64_t> batch_elements{0};
     // Fused-composite kernel dispatches (FusedDense / FusedConv2D /
     // FusedElementwise steps) accumulated over all runs.
     std::atomic<int64_t> fused_dispatches{0};
+    // Bytes the run arenas' buffer pools served from recycled storage,
+    // accumulated per run as the pool's delta.
+    std::atomic<int64_t> bytes_reused{0};
   };
 
   // Compile the transitive closure of `fetches` over `graph`. `feed_nodes`
@@ -118,10 +123,13 @@ class CompiledPlan {
   // rewritten graph the plan then owns is closure-local: the fetched
   // closure plus the feed placeholders (unused feeds stay tolerated), never
   // a copy of the whole input graph. Unfused plans share the input graph.
+  //
+  // The plan counts into `counters` (a fresh set when null).
   static std::shared_ptr<CompiledPlan> compile(
       std::shared_ptr<const GraphDef> graph,
       const std::vector<Endpoint>& fetches, const std::vector<int>& feed_nodes,
-      bool fuse_patterns = false);
+      bool fuse_patterns = false,
+      std::shared_ptr<Counters> counters = nullptr);
 
   // Assembles a plan directly from lowered steps (the fast-path recorder's
   // route into this layer; also used by tests).
@@ -150,10 +158,17 @@ class CompiledPlan {
     std::vector<int> output_slots_;
   };
 
-  // Run the plan. `feed_values` are positional (feed_nodes order for
-  // graph-compiled plans, add_input order for built plans). Per-run feed
-  // dtype/shape validation happens here; a scheduled placeholder that was
-  // not fed throws when its kernel executes.
+  // Run the plan on an arena checked out of the plan's free list (a new
+  // one when every pooled arena is busy), returned on every exit. This is
+  // the per-call hot path of every caller: concurrent runs each get a
+  // private slot table, and a run reuses the buffers earlier runs freed.
+  std::vector<Tensor> run(const std::vector<Tensor>& feed_values,
+                          VariableStore* variables, Rng* rng) const;
+
+  // Run the plan against a caller-owned arena. `feed_values` are positional
+  // (feed_nodes order for graph-compiled plans, add_input order for built
+  // plans). Per-run feed dtype/shape validation happens here; a scheduled
+  // placeholder that was not fed throws when its kernel executes.
   std::vector<Tensor> execute(RunArena& arena,
                               const std::vector<Tensor>& feed_values,
                               VariableStore* variables, Rng* rng) const;
@@ -166,17 +181,13 @@ class CompiledPlan {
   int max_parallel_width() const { return max_width_; }
   size_t num_feeds() const { return feed_slots_.size(); }
   size_t num_outputs() const { return fetch_slots_.size(); }
-  // True iff every feed placeholder accepts any leading extent (rank >= 1
-  // with an unknown first dim): one cached schedule then serves every
-  // request batch size, which is what the serving batcher relies on when it
-  // coalesces requests along the leading dimension. Conservatively false
-  // for Builder-assembled plans, which carry no feed signatures.
-  bool feeds_batchable() const;
   // Feed placeholders not reachable from the fetches (values are dropped).
   const std::vector<std::string>& unused_feed_names() const {
     return unused_feed_names_;
   }
-  const Counters& counters() const { return counters_; }
+  const Counters& counters() const { return *counters_; }
+  // Fresh heap bytes allocated by the buffer pools of the idle arenas.
+  int64_t bytes_allocated() const;
   // Nodes of the graph this plan keeps alive (0 for Builder-assembled
   // plans, which own only their steps' nodes).
   size_t graph_num_nodes() const {
@@ -226,10 +237,11 @@ class CompiledPlan {
   int max_width_ = 1;
   size_t num_slots_ = 0;
   int fused_kernel_steps_ = 0;
-  // Whether the leading dim of feed 0 is a batch count worth accumulating
-  // into Counters::batch_elements (decided at compile time).
-  bool counts_batch_ = false;
-  mutable Counters counters_;
+  std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
+
+  // Idle run arenas; run() checks one out per call.
+  mutable std::mutex arenas_mutex_;
+  mutable std::vector<std::unique_ptr<RunArena>> free_arenas_;
 };
 
 }  // namespace rlgraph

@@ -1,7 +1,7 @@
-// Tests for the compiled execution-plan layer: plan caching, eager
-// intermediate release, feed validation, pooled-buffer determinism, the
-// kernel-purity invariant, and fast-path-vs-session equivalence on a real
-// DQN update step.
+// Tests for the compiled execution-plan layer: per-call session compiles,
+// eager intermediate release, feed validation, pooled-buffer determinism,
+// the kernel-purity invariant, and fast-path-vs-session equivalence on a
+// real DQN update step.
 #include <gtest/gtest.h>
 
 #include "agents/dqn_agent.h"
@@ -28,28 +28,20 @@ class ExecPlanTest : public ::testing::Test {
   StaticGraphContext ctx_;
 };
 
-TEST_F(ExecPlanTest, PlanCacheHitAndMiss) {
+TEST_F(ExecPlanTest, SessionRunCompilesEachCall) {
+  // Session::run keeps no plan: every call compiles, and every plan counts
+  // into the session's one counter set.
   OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{});
   OpRef a = ctx_.mul(x, ctx_.scalar(2.0f));
-  OpRef b = ctx_.add(x, ctx_.scalar(1.0f));
   Session s = make_session();
   FeedMap feeds;
   feeds[x.node] = Tensor::scalar(3.0f);
 
-  s.run({{a.node, 0}}, feeds);
-  EXPECT_EQ(s.plan_compiles(), 1);
-  EXPECT_EQ(s.plan_cache_hits(), 0);
-
-  // Same (fetches, feed signature): the cached plan is reused.
-  s.run({{a.node, 0}}, feeds);
-  EXPECT_EQ(s.plan_compiles(), 1);
-  EXPECT_EQ(s.plan_cache_hits(), 1);
-
-  // Different fetch: a fresh compile.
-  s.run({{b.node, 0}}, feeds);
+  EXPECT_FLOAT_EQ(s.run({{a.node, 0}}, feeds)[0].scalar_value(), 6.0f);
+  feeds[x.node] = Tensor::scalar(4.0f);
+  EXPECT_FLOAT_EQ(s.run({{a.node, 0}}, feeds)[0].scalar_value(), 8.0f);
   EXPECT_EQ(s.plan_compiles(), 2);
-  EXPECT_EQ(s.plan_cache_hits(), 1);
-  EXPECT_EQ(s.num_runs(), 3);
+  EXPECT_EQ(s.num_runs(), 2);
 }
 
 TEST_F(ExecPlanTest, EagerReleaseBoundsPeakLiveSlots) {
@@ -61,12 +53,13 @@ TEST_F(ExecPlanTest, EagerReleaseBoundsPeakLiveSlots) {
   OpRef v = x;
   for (int i = 0; i < kChain; ++i) v = ctx_.neg(v);
   Session s = make_session();
-  auto call = s.prepare({{v.node, 0}}, {x.node});
-  ASSERT_GE(call->plan().num_slots(), static_cast<size_t>(kChain));
+  auto plan = s.compile({{v.node, 0}}, {x.node});
+  ASSERT_GE(plan->num_slots(), static_cast<size_t>(kChain));
 
   std::vector<float> data(64, 1.5f);
-  call->run({Tensor::from_floats(Shape{64}, data)});
-  EXPECT_LE(call->last_peak_live_slots(), 3);
+  RunArena arena;
+  plan->execute(arena, {Tensor::from_floats(Shape{64}, data)}, &store_, &rng_);
+  EXPECT_LE(arena.peak_live_slots(), 3);
 }
 
 TEST_F(ExecPlanTest, PooledRunsAreDeterministicAndReuseBuffers) {
@@ -74,19 +67,20 @@ TEST_F(ExecPlanTest, PooledRunsAreDeterministicAndReuseBuffers) {
   OpRef v = x;
   for (int i = 0; i < 8; ++i) v = ctx_.add(ctx_.neg(v), ctx_.scalar(0.5f));
   Session s = make_session();
-  auto call = s.prepare({{v.node, 0}}, {x.node});
+  auto plan = s.compile({{v.node, 0}}, {x.node});
 
   std::vector<float> data(256);
   for (size_t i = 0; i < data.size(); ++i) data[i] = 0.01f * (float)i;
   Tensor feed = Tensor::from_floats(Shape{256}, data);
 
-  std::vector<float> first = call->run({feed})[0].to_floats();
+  std::vector<float> first = plan->run({feed}, &store_, &rng_)[0].to_floats();
   for (int run = 0; run < 5; ++run) {
     // Later runs draw intermediate buffers from the arena's pool; recycled
     // storage must not perturb results.
-    EXPECT_EQ(call->run({feed})[0].to_floats(), first);
+    EXPECT_EQ(plan->run({feed}, &store_, &rng_)[0].to_floats(), first);
   }
-  EXPECT_GT(call->bytes_reused(), 0);
+  EXPECT_GT(plan->counters().bytes_reused.load(), 0);
+  EXPECT_EQ(s.bytes_reused(), plan->counters().bytes_reused.load());
 }
 
 TEST_F(ExecPlanTest, RunRejectsNonPlaceholderFeed) {
@@ -122,10 +116,10 @@ TEST_F(ExecPlanTest, FeedValidationNamesDeclaredAndProvidedSignatures) {
   OpRef x = ctx_.placeholder("states", DType::kFloat32, Shape{3});
   OpRef out = ctx_.neg(x);
   Session s = make_session();
-  auto call = s.prepare({{out.node, 0}}, {x.node});
+  auto plan = s.compile({{out.node, 0}}, {x.node});
 
   try {
-    call->run({Tensor::from_floats(Shape{2}, {1.0f, 2.0f})});
+    plan->run({Tensor::from_floats(Shape{2}, {1.0f, 2.0f})}, &store_, &rng_);
     FAIL() << "expected ValueError for shape mismatch";
   } catch (const ValueError& e) {
     const std::string msg = e.what();
@@ -135,7 +129,7 @@ TEST_F(ExecPlanTest, FeedValidationNamesDeclaredAndProvidedSignatures) {
   }
 
   try {
-    call->run({Tensor::from_ints(Shape{3}, {1, 2, 3})});
+    plan->run({Tensor::from_ints(Shape{3}, {1, 2, 3})}, &store_, &rng_);
     FAIL() << "expected ValueError for dtype mismatch";
   } catch (const ValueError& e) {
     const std::string msg = e.what();
@@ -144,8 +138,8 @@ TEST_F(ExecPlanTest, FeedValidationNamesDeclaredAndProvidedSignatures) {
   }
 
   // A batchable API call through the executor whose feed contradicts the
-  // declared signature (inner dim 9 vs 8) fails the same way, and leaves
-  // the session's plan cache exactly as the build left it.
+  // declared signature (inner dim 9 vs 8) fails the same way and compiles
+  // nothing.
   auto root = std::make_shared<Component>("root");
   auto* dense = root->add_component(std::make_shared<DenseLayer>("d", 2));
   root->register_api("forward", [dense](BuildContext& bctx,
@@ -156,7 +150,6 @@ TEST_F(ExecPlanTest, FeedValidationNamesDeclaredAndProvidedSignatures) {
   exec.build();
   Session* session = exec.session();
   const int64_t compiles = session->plan_compiles();
-  const size_t cached = session->plan_cache_size();
   try {
     exec.execute("forward", {Tensor::zeros(DType::kFloat32, Shape{4, 9})});
     FAIL() << "expected ValueError for a feed contradicting the signature";
@@ -166,20 +159,19 @@ TEST_F(ExecPlanTest, FeedValidationNamesDeclaredAndProvidedSignatures) {
     EXPECT_NE(msg.find("declared float32(?, 8)"), std::string::npos) << msg;
   }
   EXPECT_EQ(session->plan_compiles(), compiles);
-  EXPECT_EQ(session->plan_cache_size(), cached);
 }
 
-TEST_F(ExecPlanTest, PreparedPositionalCallToleratesUnusedFeed) {
+TEST_F(ExecPlanTest, PositionalPlanToleratesUnusedFeed) {
   // API calls feed arguments positionally; an API that ignores one of its
-  // declared arguments must still be preparable (the value is dropped).
+  // declared arguments must still compile (the value is dropped).
   OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{});
   OpRef y = ctx_.placeholder("y", DType::kFloat32, Shape{});
   OpRef out = ctx_.mul(x, ctx_.scalar(4.0f));
   Session s = make_session();
-  auto call = s.prepare({{out.node, 0}}, {x.node, y.node});
-  ASSERT_EQ(call->plan().unused_feed_names(),
-            std::vector<std::string>{"y"});
-  auto fetched = call->run({Tensor::scalar(2.0f), Tensor::scalar(99.0f)});
+  auto plan = s.compile({{out.node, 0}}, {x.node, y.node});
+  ASSERT_EQ(plan->unused_feed_names(), std::vector<std::string>{"y"});
+  auto fetched = plan->run({Tensor::scalar(2.0f), Tensor::scalar(99.0f)},
+                           &store_, &rng_);
   EXPECT_FLOAT_EQ(fetched[0].scalar_value(), 8.0f);
 }
 
@@ -267,16 +259,16 @@ TEST_F(PooledPlanTest, SteadyStateRunsAllocateNothingNew) {
   ParallelismGuard guard(1);
   OpRef v = build_pipeline(64, /*depth=*/6);
   Session s = make_session();
-  auto call = s.prepare({{v.node, 0}}, {x_.node});
+  auto plan = s.compile({{v.node, 0}}, {x_.node});
 
   Tensor feed = make_feed(4, 64);
-  (void)call->run({feed});
-  const int64_t allocated = call->bytes_allocated();
-  const int64_t reused = call->bytes_reused();
-  for (int i = 0; i < 10; ++i) (void)call->run({feed});
-  EXPECT_EQ(call->bytes_allocated(), allocated) << "fresh allocation on the "
+  (void)plan->run({feed}, &store_, &rng_);
+  const int64_t allocated = plan->bytes_allocated();
+  const int64_t reused = plan->counters().bytes_reused.load();
+  for (int i = 0; i < 10; ++i) (void)plan->run({feed}, &store_, &rng_);
+  EXPECT_EQ(plan->bytes_allocated(), allocated) << "fresh allocation on the "
                                                    "steady-state hot path";
-  EXPECT_GT(call->bytes_reused(), reused);
+  EXPECT_GT(plan->counters().bytes_reused.load(), reused);
 }
 
 TEST_F(PooledPlanTest, FusedDensePlanAllocatesNothingNewInSteadyState) {
@@ -296,17 +288,17 @@ TEST_F(PooledPlanTest, FusedDensePlanAllocatesNothingNewInSteadyState) {
 
   Session s = make_session();
   s.set_pattern_fusion(true);
-  auto call = s.prepare({{out.node, 0}}, {x.node});
-  ASSERT_GT(call->plan().fused_kernel_steps(), 0);
+  auto plan = s.compile({{out.node, 0}}, {x.node});
+  ASSERT_GT(plan->fused_kernel_steps(), 0);
 
   Tensor feed = make_feed(4, 16);
-  (void)call->run({feed});
-  const int64_t allocated = call->bytes_allocated();
-  const int64_t reused = call->bytes_reused();
-  for (int i = 0; i < 10; ++i) (void)call->run({feed});
-  EXPECT_EQ(call->bytes_allocated(), allocated)
+  (void)plan->run({feed}, &store_, &rng_);
+  const int64_t allocated = plan->bytes_allocated();
+  const int64_t reused = plan->counters().bytes_reused.load();
+  for (int i = 0; i < 10; ++i) (void)plan->run({feed}, &store_, &rng_);
+  EXPECT_EQ(plan->bytes_allocated(), allocated)
       << "fresh allocation on the fused steady-state hot path";
-  EXPECT_GT(call->bytes_reused(), reused);
+  EXPECT_GT(plan->counters().bytes_reused.load(), reused);
 }
 
 TEST_F(PooledPlanTest, AliasingKernelStaysCorrectAcrossPooledRuns) {
@@ -317,54 +309,14 @@ TEST_F(PooledPlanTest, AliasingKernelStaysCorrectAcrossPooledRuns) {
   OpRef c = ctx_.neg(ctx_.identity(ctx_.neg(x)));
   OpRef d = ctx_.mul(c, ctx_.scalar(3.0f));
   Session s = make_session();
-  auto call = s.prepare({{d.node, 0}}, {x.node});
+  auto plan = s.compile({{d.node, 0}}, {x.node});
 
   Tensor feed = make_feed(4, 16);
   Tensor want = kernels::mul(feed, Tensor::scalar(3.0f));
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(want.equals(call->run({feed})[0])) << "run " << i;
+    EXPECT_TRUE(want.equals(plan->run({feed}, &store_, &rng_)[0]))
+        << "run " << i;
   }
-}
-
-TEST_F(PooledPlanTest, PlanCacheEvictsLeastRecentlyUsed) {
-  OpRef v = build_pipeline(8);
-  const Endpoint e1{v.node, 0};
-  const Endpoint e2{ctx_.neg(x_).node, 0};
-  const Endpoint e4{ctx_.relu(x_).node, 0};
-  Session s = make_session();
-  s.set_plan_cache_capacity(2);
-  (void)s.prepare({e1}, {x_.node});
-  (void)s.prepare({e2}, {x_.node});
-  EXPECT_EQ(s.plan_cache_size(), 2u);
-  EXPECT_EQ(s.plan_cache_evictions(), 0);
-  // Touch e1 so e2 is the LRU victim when e4 arrives.
-  (void)s.prepare({e1}, {x_.node});
-  (void)s.prepare({e4}, {x_.node});
-  EXPECT_EQ(s.plan_cache_size(), 2u);
-  EXPECT_EQ(s.plan_cache_evictions(), 1);
-  const int64_t compiles = s.plan_compiles();
-  (void)s.prepare({e1}, {x_.node});
-  EXPECT_EQ(s.plan_compiles(), compiles);  // survivor: still cached
-  (void)s.prepare({e2}, {x_.node});
-  EXPECT_EQ(s.plan_compiles(), compiles + 1);  // victim: recompiled
-}
-
-TEST_F(PooledPlanTest, BatchElementsCountsOnlyBatchableLiveFeeds) {
-  OpRef v = build_pipeline(8);
-  Session s = make_session();
-  auto call = s.prepare({{v.node, 0}}, {x_.node});
-  ASSERT_TRUE(call->plan().feeds_batchable());
-  (void)call->run({make_feed(4, 8)});
-  (void)call->run({make_feed(16, 8)});
-  EXPECT_EQ(call->plan().counters().batch_elements.load(), 20);
-
-  // A fixed-signature (non-batchable) feed counts one element per run even
-  // though its leading extent is 3.
-  OpRef y = ctx_.placeholder("y", DType::kFloat32, Shape{3});
-  OpRef w = ctx_.neg(y);
-  auto fixed = s.prepare({{w.node, 0}}, {y.node});
-  (void)fixed->run({Tensor::from_floats(Shape{3}, {1, 2, 3})});
-  EXPECT_EQ(fixed->plan().counters().batch_elements.load(), 1);
 }
 
 // --- fast-path vs. session equivalence on a DQN update step ----------------
@@ -413,8 +365,8 @@ TEST(ExecPlanEquivalenceTest, FastPathMatchesSessionOnDQNUpdateBatch) {
   };
 
   // Call 1 on the define-by-run side dispatches + traces; call 2 onward
-  // lowers the trace onto a CompiledPlan and runs it. The static side goes
-  // through Session::PreparedCall each time. Weight updates on both sides
+  // lowers the trace onto a CompiledPlan and runs it. The static side runs
+  // its build-time CompiledPlan each time. Weight updates on both sides
   // stay in lockstep, so each call's loss and |td| must agree bitwise.
   for (int call = 0; call < 3; ++call) {
     std::vector<Tensor> a =

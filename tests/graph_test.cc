@@ -116,7 +116,7 @@ TEST_F(SessionTest, CustomStatefulKernel) {
   EXPECT_EQ(calls, 2);  // re-executed every run (stateful)
 }
 
-TEST_F(SessionTest, PlanCacheReused) {
+TEST_F(SessionTest, RepeatRunsExecuteSameNodeCount) {
   OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{});
   OpRef y = ctx_.square(x);
   Session s = make_session();
@@ -127,7 +127,8 @@ TEST_F(SessionTest, PlanCacheReused) {
   feeds[x.node] = Tensor::scalar(4.0f);
   auto out = s.run({{y.node, 0}}, feeds);
   EXPECT_FLOAT_EQ(out[0].scalar_value(), 16.0f);
-  // Same per-run node count: plan cached, no rebuild side effects.
+  // Same per-run node count: each run compiles the same plan, with no
+  // side effects left behind by the first.
   EXPECT_EQ(s.nodes_executed(), 2 * nodes_after_one);
   EXPECT_EQ(s.num_runs(), 2);
 }

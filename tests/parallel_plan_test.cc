@@ -1,10 +1,12 @@
 // Inter-op parallel scheduling of CompiledPlans: wide plans produce results
 // bitwise identical to serial execution at any thread count, stateful steps
-// stay ordered (RNG draws, variable writes), failures propagate, and a full
-// DQN training trace is reproducible at 1/2/8 threads.
+// stay ordered (RNG draws, variable writes), failures propagate, concurrent
+// runs of one plan get private arenas, and a full DQN training trace is
+// reproducible at 1/2/8 threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "agents/dqn_agent.h"
 #include "backend/static_context.h"
@@ -45,19 +47,19 @@ TEST_F(ParallelPlanTest, WidePlanMatchesSerialBitwise) {
   for (int i = 1; i < 8; ++i) sum = ctx_.add(sum, branches[i]);
 
   Session s = make_session();
-  auto call = s.prepare({{sum.node, 0}}, {x.node});
-  EXPECT_GE(call->plan().max_parallel_width(), 8);
+  auto plan = s.compile({{sum.node, 0}}, {x.node});
+  EXPECT_GE(plan->max_parallel_width(), 8);
 
   std::vector<float> data(256);
   for (size_t i = 0; i < data.size(); ++i) data[i] = 0.013f * (float)i - 1.5f;
   Tensor feed = Tensor::from_floats(Shape{256}, data);
 
   set_global_parallelism(1);
-  std::vector<float> serial = call->run({feed})[0].to_floats();
+  std::vector<float> serial = plan->run({feed}, &store_, &rng_)[0].to_floats();
   for (size_t threads : {size_t{2}, size_t{8}}) {
     ParallelismGuard guard(threads);
     for (int rep = 0; rep < 5; ++rep) {
-      EXPECT_EQ(call->run({feed})[0].to_floats(), serial)
+      EXPECT_EQ(plan->run({feed}, &store_, &rng_)[0].to_floats(), serial)
           << threads << " threads, rep " << rep;
     }
   }
@@ -70,12 +72,13 @@ TEST_F(ParallelPlanTest, ChainPlanStaysOnSerialPath) {
   OpRef v = x;
   for (int i = 0; i < 6; ++i) v = ctx_.neg(v);
   Session s = make_session();
-  auto call = s.prepare({{v.node, 0}}, {x.node});
-  EXPECT_EQ(call->plan().max_parallel_width(), 1);
+  auto plan = s.compile({{v.node, 0}}, {x.node});
+  EXPECT_EQ(plan->max_parallel_width(), 1);
 
   ParallelismGuard guard(8);
   std::vector<float> data(64, 1.25f);
-  Tensor out = call->run({Tensor::from_floats(Shape{64}, data)})[0];
+  Tensor out =
+      plan->run({Tensor::from_floats(Shape{64}, data)}, &store_, &rng_)[0];
   EXPECT_EQ(out.to_floats(), data);  // even number of negations
 }
 
@@ -99,20 +102,76 @@ TEST_F(ParallelPlanTest, StatefulStepsKeepScheduleOrder) {
   ctx_.graph()->mutable_node(read.node).control_inputs = read_deps;
 
   Session s = make_session();
-  auto call = s.prepare({{wide.node, 0}, {read.node, 0}}, {x.node});
+  auto plan = s.compile({{wide.node, 0}, {read.node, 0}}, {x.node});
 
   std::vector<float> data(16, 0.5f);
   Tensor feed = Tensor::from_floats(Shape{16}, data);
   for (size_t threads : {size_t{1}, size_t{8}}) {
     store_.set("acc", Tensor::zeros(DType::kFloat32, Shape{16}));
     ParallelismGuard guard(threads);
-    std::vector<Tensor> out = call->run({feed});
+    std::vector<Tensor> out = plan->run({feed}, &store_, &rng_);
     // 0.5 + 1.0 applied once each: the read (ordered after both writes by
     // control deps + the stateful chain) sees 1.5 everywhere.
     for (float v : out[1].to_floats()) {
       EXPECT_FLOAT_EQ(v, 1.5f) << threads << " threads";
     }
   }
+}
+
+TEST_F(ParallelPlanTest, ConcurrentRunsOfOnePlanGetPrivateArenas) {
+  // Four threads run one stateless wide plan at once, each with its own
+  // feeds. CompiledPlan::run hands every concurrent run a private arena
+  // from the plan's free list, so each output bitwise equals the serial
+  // result for the same feed, at one pool thread and at several.
+  OpRef x = ctx_.placeholder("x", DType::kFloat32, Shape{kUnknownDim, 32});
+  std::vector<OpRef> branches;
+  for (int i = 0; i < 4; ++i) {
+    branches.push_back(ctx_.tanh(ctx_.mul(x, ctx_.scalar(0.3f * (i + 1)))));
+  }
+  OpRef sum = branches[0];
+  for (int i = 1; i < 4; ++i) sum = ctx_.add(sum, ctx_.neg(branches[i]));
+
+  Session s = make_session();
+  std::shared_ptr<const CompiledPlan> plan =
+      s.compile({{sum.node, 0}}, {x.node});
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 50;
+  auto feed_for = [](int thread, int run) {
+    const int64_t rows = 1 + (thread + run) % 4;
+    std::vector<float> data(static_cast<size_t>(rows * 32));
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = 0.01f * static_cast<float>(i) - 0.1f * thread + 0.003f * run;
+    }
+    return Tensor::from_floats(Shape{rows, 32}, data);
+  };
+  std::vector<std::vector<Tensor>> serial(kThreads);
+  set_global_parallelism(1);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRuns; ++r) {
+      serial[t].push_back(plan->run({feed_for(t, r)}, &store_, &rng_)[0]);
+    }
+  }
+
+  for (size_t pool_threads : {size_t{1}, size_t{2}}) {
+    ParallelismGuard guard(pool_threads);
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int r = 0; r < kRuns; ++r) {
+          Tensor out = plan->run({feed_for(t, r)}, &store_, &rng_)[0];
+          if (!out.equals(serial[t][r])) ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0)
+          << "thread " << t << ", " << pool_threads << " pool threads";
+    }
+  }
+  EXPECT_EQ(s.num_runs(), 3 * kThreads * kRuns);
 }
 
 TEST_F(ParallelPlanTest, FailingStepPropagatesFromParallelExecution) {

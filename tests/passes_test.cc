@@ -438,10 +438,10 @@ TEST(OptimizeAgentGraphTest, FixedPointOnDQNImpalaAndSacGraphs) {
 
 TEST(PlanFusionAgentTest, ServePlansHoldNoMoreThanTheirClosure) {
   // The dense-32 serving policy (obs 16, 4 actions): after greedy acts at
-  // six batch sizes, the one act_greedy plan compiled at build time keeps
-  // alive only its fused closure. A plan's slots number at least its
+  // six batch sizes, an act_greedy plan compiled by the agent's session
+  // keeps alive only its fused closure. A plan's slots number at least its
   // closure's nodes (one per output, at least one per node), and it has no
-  // unused feeds here.
+  // unused feeds here. Compiling it again counts one more compile.
   DQNAgent agent(Json::parse(R"({
     "type": "dqn",
     "backend": "static",
@@ -468,11 +468,12 @@ TEST(PlanFusionAgentTest, ServePlansHoldNoMoreThanTheirClosure) {
   Session* session = ex.session();
   const int64_t compiles = session->plan_compiles();
 
-  const CompiledPlan& plan = session->prepare(fetches, feed_nodes)->plan();
-  EXPECT_GT(plan.fused_kernel_steps(), 0);
-  EXPECT_TRUE(plan.unused_feed_names().empty());
-  EXPECT_LE(plan.graph_num_nodes(), plan.num_slots());
-  EXPECT_EQ(session->plan_compiles(), compiles);  // the build-time plan
+  std::shared_ptr<const CompiledPlan> plan =
+      session->compile(fetches, feed_nodes);
+  EXPECT_GT(plan->fused_kernel_steps(), 0);
+  EXPECT_TRUE(plan->unused_feed_names().empty());
+  EXPECT_LE(plan->graph_num_nodes(), plan->num_slots());
+  EXPECT_EQ(session->plan_compiles(), compiles + 1);
 }
 
 }  // namespace
