@@ -11,10 +11,13 @@
 // they can never show what overload looks like. The open-loop harness
 // (load_harness.h) offers Poisson arrivals at fixed rates spanning the
 // measured closed-loop capacity — below the knee, at it, and past it —
-// and reports offered vs attained QPS, per-tenant p50/p99, and shed/
-// timeout counts per point. Steady-state serving must run the build-time
-// plan at every batch size: the sweep asserts the serving replica compiles
-// NO new plans after warmup.
+// and reports offered vs attained QPS, per-tenant p50/p99, shed/timeout
+// counts and the generator's lag p99 per point. The harness has one
+// generator thread: a point whose generated_qps falls short of its offered
+// rate is generator-bound, so its latencies (stamped at each arrival's due
+// time) measure the generator's lag, not server queueing. Steady-state
+// serving must run the build-time plan at every batch size: the sweep
+// asserts the serving replica compiles NO new plans after warmup.
 #include <cstdio>
 #include <deque>
 #include <future>
@@ -274,11 +277,16 @@ int main(int argc, char** argv) {
     load.offered_qps = factor * capacity;
     load.seed = seed++;
     bench::LoadReport report = bench::run_open_loop(server, load);
-    std::printf("offered %8.0f req/s (%4.2fx)  attained %8.0f req/s  "
-                "shed %6lld  timeout %6lld\n",
-                report.generated_qps, factor, report.attained_qps,
-                static_cast<long long>(report.shed),
-                static_cast<long long>(report.timeout));
+    const bool generator_bound =
+        report.generated_qps < 0.95 * report.offered_qps;
+    std::printf("offered %8.0f req/s (%4.2fx)  generated %8.0f req/s  "
+                "attained %8.0f req/s  shed %6lld  timeout %6lld  "
+                "gen_lag_p99 %.2f ms%s\n",
+                report.offered_qps, factor, report.generated_qps,
+                report.attained_qps, static_cast<long long>(report.shed),
+                static_cast<long long>(report.timeout),
+                report.gen_lag_p99 * 1e3,
+                generator_bound ? "  [generator-bound]" : "");
     std::printf("%s", report.table().c_str());
     Json params;
     params["load_factor"] = Json(factor);
@@ -286,6 +294,7 @@ int main(int argc, char** argv) {
                     params);
     reporter.record("sweep_attained_qps", report.attained_qps, "req/s",
                     params);
+    reporter.record("sweep_gen_lag_p99", report.gen_lag_p99, "s", params);
     reporter.record("sweep_shed", static_cast<double>(report.shed), "req",
                     params);
     reporter.record("sweep_timeout", static_cast<double>(report.timeout),

@@ -81,6 +81,7 @@ Json LoadReport::to_json() const {
   doc["offered_qps"] = Json(offered_qps);
   doc["generated_qps"] = Json(generated_qps);
   doc["attained_qps"] = Json(attained_qps);
+  doc["gen_lag_p99_seconds"] = Json(gen_lag_p99);
   doc["offered"] = Json(offered);
   doc["completed"] = Json(completed);
   doc["shed"] = Json(shed);
@@ -193,6 +194,7 @@ LoadReport run_open_loop(serve::PolicyServer& server,
   std::vector<int64_t> offered(streams.size(), 0);
   std::vector<int64_t> shed(streams.size(), 0);
   std::vector<int64_t> submit_failed(streams.size(), 0);
+  Histogram gen_lag;
   const auto start = serve::ServeClock::now();
   double next_arrival = 0.0;  // seconds after start
   uint64_t request_id = config.first_request_id;
@@ -215,6 +217,8 @@ LoadReport run_open_loop(serve::PolicyServer& server,
     options.request_id = request_id++;
     const Tensor& obs =
         config.observations[arrival_index++ % config.observations.size()];
+    gen_lag.record(
+        std::chrono::duration<double>(serve::ServeClock::now() - due).count());
     try {
       Pending p;
       p.due = due;
@@ -246,6 +250,7 @@ LoadReport run_open_loop(serve::PolicyServer& server,
   LoadReport report;
   report.duration_seconds = elapsed;
   report.offered_qps = config.offered_qps;
+  report.gen_lag_p99 = gen_lag.p99();
   for (size_t i = 0; i < streams.size(); ++i) {
     StreamStats s;
     s.name = streams[i].name;

@@ -86,6 +86,10 @@ struct LoadReport {
   double offered_qps = 0.0;       // configured target rate
   double generated_qps = 0.0;     // arrivals actually generated per second
   double attained_qps = 0.0;      // completions per second
+  // p99 of each arrival's submit time minus its due time (seconds). Near
+  // zero while the generator keeps up; when generated_qps falls short of
+  // offered_qps it grows, and completion latency carries it.
+  double gen_lag_p99 = 0.0;
   int64_t offered = 0, completed = 0, shed = 0, timeout = 0, failed = 0;
   std::vector<StreamStats> streams;
 

@@ -144,7 +144,6 @@ ExecutorOptions executor_options_from_config(const Json& config) {
   opts.optimize = config.get_bool("optimize_graph", true);
   opts.fast_path = config.get_bool("fast_path", true);
   opts.default_device = config.get_string("device", "/cpu:0");
-  opts.profiling = config.get_bool("profiling", false);
   // Fine-grained per-component device control (paper §3.4):
   //   "device_map": {"agent/policy": "/gpu:0", "agent/memory": "/cpu:0"}
   const Json& device_map = config.get("device_map");

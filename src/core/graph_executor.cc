@@ -6,6 +6,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/serialization.h"
+#include "util/trace.h"
 
 namespace rlgraph {
 
@@ -110,6 +111,7 @@ const BuildStats& GraphExecutor::build() {
   for (auto& [name, api] : api_registry_) {
     ApiEntry entry;
     entry.api = &api;
+    entry.span_name = "execute/" + name;
     if (options_.backend == Backend::kStatic) {
       std::vector<Endpoint> fetches;
       fetches.reserve(api.fetches.size());
@@ -153,11 +155,7 @@ std::vector<Tensor> GraphExecutor::execute(ApiHandle handle,
               "API '" << api.name << "' expects " << api.num_input_leaves
                       << " input tensors, got " << inputs.size());
   ++execution_calls_;
-  if (options_.profiling) {
-    ScopedTimer timer(&profile_, "execute/" + api.name);
-    profile_.increment("calls/" + api.name);
-    return execute_entry(entry, inputs);
-  }
+  trace::TraceSpan span("executor", entry.span_name);
   return execute_entry(entry, inputs);
 }
 

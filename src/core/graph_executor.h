@@ -26,7 +26,6 @@
 #include "core/graph_builder.h"
 #include "graph/passes.h"
 #include "graph/session.h"
-#include "util/metrics.h"
 
 namespace rlgraph {
 
@@ -44,8 +43,6 @@ struct ExecutorOptions {
   // Per-component device assignments applied to the component tree before
   // the build (longest scope prefix wins); entries: scope -> device.
   std::map<std::string, std::string> device_map;
-  // Record per-API execute() latencies into the profiling registry.
-  bool profiling = false;
 };
 
 // Build-time-resolved reference to one API method of one executor.
@@ -89,11 +86,6 @@ class GraphExecutor {
   Backend backend() const { return options_.backend; }
   // Static backend: one per execute(); define-by-run: dispatch count.
   int64_t execution_calls() const { return execution_calls_; }
-  // Per-API latency summaries (populated when options.profiling is set) —
-  // the "hooks for summaries or profiling" of paper §4.1. Plan compile and
-  // run counters are read from session() instead.
-  const MetricRegistry& profile() const { return profile_; }
-  std::string profile_report() const { return profile_.report(); }
   // Readable dump of the built computation graph (static backend).
   std::string graph_dump() const;
   // The session that compiled the static-backend plans and counts their
@@ -116,6 +108,10 @@ class GraphExecutor {
   // Per-API state resolved at build time.
   struct ApiEntry {
     const BuiltApi* api = nullptr;
+    // "execute/<api>": the per-call trace span (category "executor"), the
+    // paper's §4.1 profiling hook. Built once so that an untraced call
+    // does no string work.
+    std::string span_name;
     // Static backend: the build-time plan (fetches + feed order baked).
     std::shared_ptr<const CompiledPlan> plan;
     // Define-by-run: the contracted program once a dispatch traced it.
@@ -141,7 +137,6 @@ class GraphExecutor {
   std::map<std::string, int> handle_ids_;
   std::vector<ApiEntry> entries_;
   int64_t execution_calls_ = 0;
-  MetricRegistry profile_;
 
   // Static backend state.
   std::shared_ptr<GraphDef> graph_;

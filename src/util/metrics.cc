@@ -1,41 +1,9 @@
 #include "util/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 namespace rlgraph {
-
-void SummaryStats::record(double v) {
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-  sum_sq_ += v * v;
-}
-
-double SummaryStats::mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double SummaryStats::stddev() const {
-  if (count_ < 2) return 0.0;
-  double m = mean();
-  double var = sum_sq_ / static_cast<double>(count_) - m * m;
-  return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-std::string SummaryStats::to_string() const {
-  std::ostringstream os;
-  os << "count=" << count_ << " mean=" << mean() << " min=" << min()
-     << " max=" << max() << " stddev=" << stddev();
-  return os.str();
-}
 
 // --- Histogram ---------------------------------------------------------------
 
@@ -117,13 +85,6 @@ double HistogramSnapshot::quantile(double q) const {
   return Histogram::kMaxValue;
 }
 
-std::string HistogramSnapshot::to_string() const {
-  std::ostringstream os;
-  os << "count=" << count << " mean=" << mean() << " p50=" << p50()
-     << " p95=" << p95() << " p99=" << p99();
-  return os.str();
-}
-
 HistogramSnapshot Histogram::snapshot_total() const {
   HistogramSnapshot snap;
   snap.buckets.resize(kNumBuckets + 2);
@@ -179,20 +140,11 @@ void MetricRegistry::increment(const std::string& name, int64_t by) {
   counters_[name] += by;
 }
 
-void MetricRegistry::record_time(const std::string& name, double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  timers_[name].record(seconds);
-}
-
 Histogram& MetricRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Histogram>& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();
   return *slot;
-}
-
-void MetricRegistry::record_value(const std::string& name, double v) {
-  histogram(name).record(v);
 }
 
 std::vector<std::string> MetricRegistry::histogram_names() const {
@@ -225,12 +177,6 @@ int64_t MetricRegistry::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-SummaryStats MetricRegistry::timer(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = timers_.find(name);
-  return it == timers_.end() ? SummaryStats{} : it->second;
-}
-
 std::map<std::string, int64_t> MetricRegistry::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
@@ -245,9 +191,6 @@ std::string MetricRegistry::report() const {
   for (const auto& [name, value] : gauges_) {
     os << name << ": " << value << "\n";
   }
-  for (const auto& [name, stats] : timers_) {
-    os << name << ": " << stats.to_string() << "\n";
-  }
   for (const auto& [name, hist] : histograms_) {
     os << name << ": " << hist->to_string() << "\n";
   }
@@ -258,7 +201,6 @@ void MetricRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   counters_.clear();
   gauges_.clear();
-  timers_.clear();
   histograms_.clear();
 }
 

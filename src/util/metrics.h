@@ -31,25 +31,6 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Streaming summary statistics (count/mean/min/max/stddev) over doubles.
-class SummaryStats {
- public:
-  void record(double v);
-  int64_t count() const { return count_; }
-  double mean() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double stddev() const;
-  std::string to_string() const;
-
- private:
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 // An immutable point-in-time view of a Histogram's counts — either the
 // all-time distribution or the delta since the previous window snapshot.
 // Quantiles use the same bucket geometry (and carry the same ~one-bucket
@@ -63,7 +44,6 @@ struct HistogramSnapshot {
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
-  std::string to_string() const;
 
   // Per-bucket counts, same layout as Histogram ([0]=under, [last]=over).
   // Public so tests can poke at it; most callers only need the quantiles.
@@ -139,24 +119,22 @@ class Histogram {
   double window_base_sum_ = 0.0;
 };
 
-// Thread-safe registry of named counters, gauges, and timers, used by
-// executors to expose per-run metrics (session calls, samples processed,
-// queue waits, worker restarts, weight staleness).
+// Thread-safe registry of named counters, gauges, and histograms, used by
+// executors and the serving tier to expose per-run metrics (samples
+// processed, worker restarts, weight staleness, request latencies). Span
+// timings live in util/trace aggregates, not here.
 class MetricRegistry {
  public:
   void increment(const std::string& name, int64_t by = 1);
-  void record_time(const std::string& name, double seconds);
   // Named histogram, created on first use. The returned reference stays
   // valid until reset(); hot paths should resolve it once and record
   // directly (record() itself takes no registry lock).
   Histogram& histogram(const std::string& name);
-  void record_value(const std::string& name, double v);
   std::vector<std::string> histogram_names() const;
   // Gauges are last-write-wins instantaneous values (e.g. staleness).
   void set_gauge(const std::string& name, double value);
   int64_t counter(const std::string& name) const;
   double gauge(const std::string& name) const;
-  SummaryStats timer(const std::string& name) const;
   std::map<std::string, int64_t> counters() const;
   std::map<std::string, double> gauges() const;
   std::string report() const;
@@ -166,26 +144,8 @@ class MetricRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, int64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, SummaryStats> timers_;
   // unique_ptr keeps Histogram addresses stable across map rebalancing.
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// RAII timer that records into a registry on destruction.
-class ScopedTimer {
- public:
-  ScopedTimer(MetricRegistry* registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
-  ~ScopedTimer() {
-    if (registry_ != nullptr) {
-      registry_->record_time(name_, watch_.elapsed_seconds());
-    }
-  }
-
- private:
-  MetricRegistry* registry_;
-  std::string name_;
-  Stopwatch watch_;
 };
 
 }  // namespace rlgraph

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "util/json.h"
@@ -45,14 +46,23 @@ struct Event {
 // read under the same mutex. Contention is one thread deep per buffer, so
 // the lock costs an uncontended CAS pair per event — cheap enough for the
 // enabled path, and absent entirely from the disabled path.
+//
+// Every push also lands in the per-name aggregate, so counts and totals
+// cover every span ever recorded; the ring keeps only the newest
+// kRingCapacity events, for the Chrome export.
 struct ThreadRing {
   std::mutex mutex;
   std::vector<Event> ring;  // capacity kRingCapacity, index = total % cap
   uint64_t total = 0;       // events ever pushed since last reset
   uint32_t tid = 0;
+  // unique_ptr: Histogram is neither movable nor copyable.
+  std::unordered_map<std::string, std::unique_ptr<Histogram>> aggregates;
 
   void push(Event e) {
     std::lock_guard<std::mutex> lock(mutex);
+    std::unique_ptr<Histogram>& agg = aggregates[e.name];
+    if (agg == nullptr) agg = std::make_unique<Histogram>();
+    agg->record(static_cast<double>(e.dur_ns) * 1e-9);
     e.tid = tid;
     if (ring.size() < kRingCapacity) {
       ring.push_back(std::move(e));
@@ -67,6 +77,7 @@ struct ThreadRing {
     ring.clear();
     ring.shrink_to_fit();
     total = 0;
+    aggregates.clear();
   }
 };
 
@@ -84,6 +95,12 @@ Registry& registry() {
   return *r;
 }
 
+std::vector<std::shared_ptr<ThreadRing>> all_rings() {
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  return reg.rings;
+}
+
 ThreadRing& thread_ring() {
   thread_local std::shared_ptr<ThreadRing> t_ring = [] {
     auto ring = std::make_shared<ThreadRing>();
@@ -98,14 +115,8 @@ ThreadRing& thread_ring() {
 
 // Snapshot every ring in tid order, oldest event first within a ring.
 std::vector<Event> snapshot() {
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    rings = reg.rings;
-  }
   std::vector<Event> events;
-  for (const auto& ring : rings) {
+  for (const auto& ring : all_rings()) {
     std::lock_guard<std::mutex> lock(ring->mutex);
     const size_t n = ring->ring.size();
     const size_t head =
@@ -176,24 +187,12 @@ bool collecting() {
 }
 
 void reset() {
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    rings = reg.rings;
-  }
-  for (const auto& ring : rings) ring->clear();
+  for (const auto& ring : all_rings()) ring->clear();
 }
 
 int64_t event_count() {
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    rings = reg.rings;
-  }
   int64_t count = 0;
-  for (const auto& ring : rings) {
+  for (const auto& ring : all_rings()) {
     std::lock_guard<std::mutex> lock(ring->mutex);
     count += static_cast<int64_t>(ring->ring.size());
   }
@@ -201,14 +200,8 @@ int64_t event_count() {
 }
 
 int64_t dropped_events() {
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    rings = reg.rings;
-  }
   int64_t dropped = 0;
-  for (const auto& ring : rings) {
+  for (const auto& ring : all_rings()) {
     std::lock_guard<std::mutex> lock(ring->mutex);
     if (ring->total > kRingCapacity) {
       dropped += static_cast<int64_t>(ring->total - kRingCapacity);
@@ -273,40 +266,49 @@ Json to_json() {
   return doc;
 }
 
-std::string summary() {
-  struct Agg {
-    int64_t count = 0;
-    double total_s = 0.0;
-    std::unique_ptr<Histogram> hist = std::make_unique<Histogram>();
-  };
-  std::map<std::string, Agg> by_name;
-  for (const Event& e : snapshot()) {
-    Agg& agg = by_name[e.name];
-    const double secs = static_cast<double>(e.dur_ns) * 1e-9;
-    ++agg.count;
-    agg.total_s += secs;
-    agg.hist->record(secs);
+std::map<std::string, HistogramSnapshot> aggregates() {
+  std::map<std::string, HistogramSnapshot> merged;
+  for (const auto& ring : all_rings()) {
+    std::lock_guard<std::mutex> lock(ring->mutex);
+    for (const auto& [name, hist] : ring->aggregates) {
+      const HistogramSnapshot snap = hist->snapshot_total();
+      HistogramSnapshot& into = merged[name];
+      into.buckets.resize(snap.buckets.size());
+      into.count += snap.count;
+      into.sum += snap.sum;
+      for (size_t i = 0; i < snap.buckets.size(); ++i) {
+        into.buckets[i] += snap.buckets[i];
+      }
+    }
   }
-  std::vector<const std::pair<const std::string, Agg>*> order;
+  return merged;
+}
+
+std::string summary() {
+  const std::map<std::string, HistogramSnapshot> by_name = aggregates();
+  std::vector<const std::pair<const std::string, HistogramSnapshot>*> order;
   order.reserve(by_name.size());
-  for (const auto& entry : by_name) order.push_back(&entry);
+  int64_t spans = 0;
+  for (const auto& entry : by_name) {
+    order.push_back(&entry);
+    spans += entry.second.count;
+  }
   std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    return a->second.total_s > b->second.total_s;
+    return a->second.sum > b->second.sum;
   });
 
-  std::string out = "trace summary (" + std::to_string(event_count()) +
-                    " spans, " + std::to_string(dropped_events()) +
-                    " dropped):\n";
+  std::string out = "trace summary (" + std::to_string(spans) +
+                    " spans; export keeps " + std::to_string(event_count()) +
+                    ", " + std::to_string(dropped_events()) + " dropped):\n";
   char line[256];
   for (const auto* entry : order) {
-    const Agg& a = entry->second;
+    const HistogramSnapshot& a = entry->second;
     std::snprintf(line, sizeof(line),
                   "  %-32s count=%-8lld total=%.6fs mean=%.2fus p50=%.2fus "
                   "p95=%.2fus p99=%.2fus\n",
                   entry->first.c_str(), static_cast<long long>(a.count),
-                  a.total_s, a.total_s / static_cast<double>(a.count) * 1e6,
-                  a.hist->p50() * 1e6, a.hist->p95() * 1e6,
-                  a.hist->p99() * 1e6);
+                  a.sum, a.mean() * 1e6, a.p50() * 1e6, a.p95() * 1e6,
+                  a.p99() * 1e6);
     out += line;
   }
   return out;

@@ -5,11 +5,18 @@
 // opens a TraceSpan around its hot section. When tracing is disabled — the
 // default — a span is a single relaxed atomic load plus a trivially
 // destructible stack object: no strings, no clock reads, no allocation.
-// When enabled, completed spans land in per-thread ring buffers (one brief
-// uncontended lock per event, no cross-thread sharing on the record path)
-// and are exported on stop() as Chrome trace_event JSON that
-// chrome://tracing and Perfetto load directly, plus a per-span-name
-// aggregate summary (count, total, p50/p95/p99 via util/metrics Histogram).
+// When enabled, each completed span updates its thread's per-span-name
+// aggregate (count, total, util/metrics Histogram buckets) and lands in the
+// thread's ring buffer (one brief uncontended lock per event, no
+// cross-thread sharing on the record path). The aggregates are exact: they
+// count every span recorded. The ring keeps the newest events only, for the
+// Chrome trace_event JSON that stop() writes and chrome://tracing and
+// Perfetto load directly.
+//
+// These spans are also the graph executor's profiling hooks (paper §4.1):
+// every GraphExecutor::execute records "execute/<api>" in category
+// "executor", so per-API call counts and latencies are read from
+// aggregates().
 //
 // Enable programmatically:
 //     trace::start("run.trace.json");
@@ -23,7 +30,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
+
+#include "util/metrics.h"
 
 namespace rlgraph {
 
@@ -62,20 +72,22 @@ inline bool enabled() {
 void start(const std::string& path = "");
 
 // Stop collecting, write the JSON file (if a path was given to start) and
-// return the per-span-name aggregate summary. Buffered events stay
-// readable through to_json()/summary() until the next start().
+// return the per-span-name aggregate summary. Aggregates and buffered
+// events stay readable until the next start().
 std::string stop();
 
 // Collection state (start() called, stop() not yet).
 bool collecting();
 
-// Drop every buffered event and reset drop counters (start() does this too).
+// Drop every buffered event and aggregate and reset drop counters (start()
+// does this too).
 void reset();
 
-// Events currently buffered across all threads, and how many were
-// overwritten because a thread's ring filled up. Ring capacity is
-// kRingCapacity events per thread; a full ring drops the oldest events,
-// never blocks the traced thread.
+// Export buffer: events currently held in the rings across all threads,
+// and how many were overwritten because a thread's ring filled up. Ring
+// capacity is kRingCapacity events per thread; a full ring drops the oldest
+// events from the export, never blocks the traced thread, and never touches
+// the aggregates: their counts sum to event_count() + dropped_events().
 inline constexpr size_t kRingCapacity = 1 << 16;
 int64_t event_count();
 int64_t dropped_events();
@@ -87,8 +99,12 @@ int64_t dropped_events();
 // "ts"/"dur" are microseconds (fractional), events sorted by ts.
 Json to_json();
 
-// Text table, one line per span name, sorted by total time descending:
-// count, total seconds, mean, p50/p95/p99 (Histogram quantiles).
+// Exact per-span-name aggregates, merged across threads: count, sum
+// (seconds) and Histogram buckets of every span recorded since start().
+std::map<std::string, HistogramSnapshot> aggregates();
+
+// aggregates() as a text table, one line per span name, sorted by total
+// time descending: count, total seconds, mean, p50/p95/p99.
 std::string summary();
 
 // Record a span whose endpoints were measured elsewhere (e.g. a serving

@@ -1,6 +1,6 @@
 // Tests for the A2C agent: API contract, rollout/return machinery, learning
-// on Catch, and the device-map / profiling executor options it shares with
-// every agent.
+// on Catch, the device-map executor option and the per-API trace spans it
+// shares with every agent.
 #include <gtest/gtest.h>
 
 #include "agents/actor_critic_agent.h"
@@ -8,6 +8,7 @@
 #include "env/grid_world.h"
 #include "env/vector_env.h"
 #include "tensor/kernels.h"
+#include "util/trace.h"
 
 namespace rlgraph {
 namespace {
@@ -128,21 +129,31 @@ TEST(ActorCriticTest, DeviceMapAssignsComponents) {
   EXPECT_NE(dump.find("@/cpu:0"), std::string::npos);
 }
 
-TEST(ActorCriticTest, ProfilingRecordsPerApiTimers) {
+// The executor's profiling hooks are its "execute/<api>" trace spans: one
+// per call while tracing is on, none while it is off.
+TEST(ActorCriticTest, ExecutorSpansCountEveryApiCall) {
   GridWorld env(GridWorld::Config{});
-  Json cfg = a2c_config();
-  cfg["profiling"] = Json(true);
-  ActorCriticAgent agent(cfg, env.state_space(), env.action_space());
+  ActorCriticAgent agent(a2c_config(), env.state_space(), env.action_space());
   agent.build();
   Tensor s = Tensor::zeros(DType::kFloat32, Shape{1, 16});
+
+  trace::reset();
+  agent.get_actions(s);
+  EXPECT_TRUE(trace::aggregates().empty());
+  EXPECT_EQ(trace::event_count(), 0);
+
+  trace::start();
   agent.get_actions(s);
   agent.get_actions(s);
   agent.get_values(s);
-  const MetricRegistry& profile = agent.executor().profile();
-  EXPECT_EQ(profile.counter("calls/act"), 2);
-  EXPECT_EQ(profile.counter("calls/get_values"), 1);
-  EXPECT_EQ(profile.timer("execute/act").count(), 2);
-  EXPECT_FALSE(agent.executor().profile_report().empty());
+  trace::stop();
+  const std::map<std::string, HistogramSnapshot> spans = trace::aggregates();
+  trace::reset();
+  ASSERT_TRUE(spans.count("execute/act"));
+  ASSERT_TRUE(spans.count("execute/get_values"));
+  EXPECT_EQ(spans.at("execute/act").count, 2);
+  EXPECT_EQ(spans.at("execute/get_values").count, 1);
+  EXPECT_GT(spans.at("execute/act").sum, 0.0);
 }
 
 }  // namespace

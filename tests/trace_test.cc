@@ -1,7 +1,15 @@
 // Tracing layer tests: disabled-mode cost model, cross-thread ring buffers,
-// Chrome trace_event export invariants, and a golden trace for Session::run.
+// exact aggregates past a full ring and under concurrent readers, Chrome
+// trace_event export invariants, and golden traces for Session::run and
+// GraphExecutor::execute.
+//
+// Span taxonomy (category: names): executor: execute/<api> · session:
+// session/run, session/compile · plan: plan/execute · kernel: <op type> ·
+// sched: pool/dispatch, pool/steal · serve: serve/* · net: net/* · actor:
+// actor/task, supervisor/heartbeat.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -11,6 +19,8 @@
 #include <vector>
 
 #include "backend/static_context.h"
+#include "components/layers.h"
+#include "core/graph_executor.h"
 #include "graph/session.h"
 #include "util/json.h"
 #include "util/trace.h"
@@ -129,10 +139,57 @@ TEST_F(TraceTest, RingOverwritesOldestWithoutBlocking) {
   for (int i = 0; i < total; ++i) {
     trace::TraceSpan span("test", "s");
   }
-  trace::stop();
+  const std::string summary = trace::stop();
   EXPECT_EQ(trace::event_count(),
             static_cast<int64_t>(trace::kRingCapacity));
   EXPECT_EQ(trace::dropped_events(), 500);
+  // The ring only bounds the export: aggregates count every span.
+  EXPECT_EQ(trace::aggregates().at("s").count, total);
+  EXPECT_NE(summary.find("count=" + std::to_string(total)), std::string::npos)
+      << summary;
+}
+
+TEST_F(TraceTest, AggregatesStayExactUnderConcurrentReaders) {
+  trace::start();
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 20000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&running, t] {
+      const std::string own = "own" + std::to_string(t);
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        trace::TraceSpan shared("test", "shared");
+        trace::TraceSpan mine("test", own);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // Read while the writers record: every read is a consistent merge.
+  int reads = 0;
+  while (running.load() > 0 || reads == 0) {
+    const auto aggs = trace::aggregates();
+    auto it = aggs.find("shared");
+    if (it != aggs.end()) {
+      EXPECT_LE(it->second.count, int64_t{kThreads} * kSpansPerThread);
+    }
+    EXPECT_FALSE(trace::summary().empty());
+    ++reads;
+  }
+  for (auto& t : threads) t.join();
+  trace::stop();
+
+  const auto aggs = trace::aggregates();
+  EXPECT_EQ(aggs.at("shared").count, int64_t{kThreads} * kSpansPerThread);
+  int64_t bucket_total = 0;
+  for (int64_t c : aggs.at("shared").buckets) bucket_total += c;
+  EXPECT_EQ(bucket_total, aggs.at("shared").count);
+  int64_t all = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(aggs.at("own" + std::to_string(t)).count, kSpansPerThread);
+  }
+  for (const auto& [name, snap] : aggs) all += snap.count;
+  EXPECT_EQ(all, trace::event_count() + trace::dropped_events());
 }
 
 TEST_F(TraceTest, ExportedJsonParsesAndEveryXEventIsComplete) {
@@ -218,6 +275,43 @@ TEST_F(TraceTest, GoldenSessionRunSpanSet) {
   // Session::run trace.
   for (const std::string& got : names) {
     EXPECT_TRUE(expected.count(got)) << "unexpected span: " << got;
+  }
+}
+
+// Golden trace for the executor's profiling hook: every execute() opens one
+// "execute/<api>" span in category "executor" that encloses the plan run.
+TEST_F(TraceTest, GoldenExecutorExecuteSpanSet) {
+  auto root = std::make_shared<Component>("root");
+  auto* dense = root->add_component(std::make_shared<DenseLayer>("l1", 3));
+  root->register_api("forward",
+                     [dense](BuildContext& ctx, const OpRecs& in) {
+                       return dense->call_api(ctx, "apply", in);
+                     });
+  GraphExecutor exec(root,
+                     {{"forward", {FloatBox(Shape{4})->with_batch_rank()}}});
+  exec.build();
+  const Tensor x = Tensor::zeros(DType::kFloat32, Shape{2, 4});
+
+  trace::start();
+  exec.execute("forward", {x});
+  exec.execute("forward", {x});
+  trace::stop();
+
+  EXPECT_EQ(trace::aggregates().at("execute/forward").count, 2);
+  EXPECT_EQ(trace::aggregates().at("plan/execute").count, 2);
+  Json doc = trace::to_json();
+  double outer_end = -1.0;
+  for (const Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "X") continue;
+    const double ts = e.at("ts").as_double();
+    const double end = ts + e.at("dur").as_double();
+    if (e.at("name").as_string() == "execute/forward") {
+      EXPECT_EQ(e.at("cat").as_string(), "executor");
+      outer_end = end;
+    } else if (e.at("name").as_string() == "plan/execute") {
+      ASSERT_GE(outer_end, 0.0) << "plan ran outside an executor span";
+      EXPECT_LE(end, outer_end + 1e-6);
+    }
   }
 }
 
